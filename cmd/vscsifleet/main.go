@@ -185,18 +185,7 @@ func runAggregator(listen string, stale time.Duration, shards int, pull string, 
 		fmt.Fprintf(os.Stderr, "re-exporting as %q (%s) to %s every %s\n", region, mode, upstream, reexportInterval)
 	}
 
-	// The aggregator has no local disks; its registry exists so the stats
-	// surface (and /healthz) comes up uniform with every other node.
-	reg := vscsistats.NewRegistry()
-	metrics := vscsistats.NewMetricsExporter(reg).WithFleet(agg).WithFleetObs(obs)
-	if rex != nil {
-		metrics = metrics.WithFleetReExport(rex)
-	}
-	handler := vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
-		Metrics:    metrics,
-		Fleet:      agg,
-		FleetTrace: obs.ChromeTraceHandler(),
-	})
+	handler := aggregatorHandler(agg, rex, obs)
 	fmt.Fprintf(os.Stderr, "aggregator on %s (%d shards; /fleet/hosts, /fleet/snapshot, /fleet/shards, /fleet/history, /fleet/catalog, /fleet/log, /fleet/events, /fleet/slow, /fleet/push, /metrics, /debug/fleettrace, /healthz; stale after %s)\n",
 		listen, agg.NumShards(), stale)
 
@@ -245,11 +234,7 @@ func runAgent(listen, host, push string, interval time.Duration, workload string
 		defer agent.Stop()
 	}
 	if listen != "" {
-		handler := vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
-			Metrics:    vscsistats.NewMetricsExporter(reg).WithDiskStats(sc.Host).WithFleetObs(obs),
-			FleetTrace: obs.ChromeTraceHandler(),
-		})
-		go http.ListenAndServe(listen, handler)
+		go http.ListenAndServe(listen, agentHandler(reg, sc.Host, obs))
 		fmt.Fprintf(os.Stderr, "agent %s stats on %s\n", host, listen)
 	}
 	fmt.Fprintf(os.Stderr, "agent %s simulating %s at %dx realtime, pushing to %s every %s\n",
@@ -311,14 +296,7 @@ func runSim(listen, push string, interval time.Duration, fullPush bool, seed int
 	fmt.Fprintf(os.Stderr, "sim: %d hosts × %d VMs × %d disks (seed %d) built in %s; mix %v\n",
 		hosts, vmsPerHost, disksPerVM, seed, time.Since(build).Round(time.Millisecond), inv.PersonalityMix())
 	if listen != "" {
-		// The sim has no registry of its own to serve — its collectors live
-		// inside the per-host worlds — but /metrics with the vscsim_* series
-		// makes the world's size, pacing and push health scrapable.
-		reg := vscsistats.NewRegistry()
-		handler := vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
-			Metrics: vscsistats.NewMetricsExporter(reg).WithSim(sim),
-		})
-		go http.ListenAndServe(listen, handler)
+		go http.ListenAndServe(listen, simHandler(sim))
 		fmt.Fprintf(os.Stderr, "sim: metrics on %s\n", listen)
 	}
 	fmt.Fprintf(os.Stderr, "sim: running at %dx realtime, pushing to %s every %s\n",
@@ -351,6 +329,44 @@ func runSim(listen, push string, interval time.Duration, fullPush bool, seed int
 			st.Ops, st.Errors, st.Agent.Pushes, st.Agent.DeltaPushes, st.Agent.Errors, st.Agent.Resyncs)
 		return nil
 	}
+}
+
+// aggregatorHandler is the aggregator's stats surface: /fleet/..., the
+// pipeline's /debug/fleettrace, and /metrics with the fleet, re-export
+// (when rex is set) and pipeline series.
+func aggregatorHandler(agg *vscsistats.FleetAggregator, rex *vscsistats.FleetReExporter, obs *vscsistats.FleetObsTracker) http.Handler {
+	// The aggregator has no local disks; its registry exists so the stats
+	// surface (and /healthz) comes up uniform with every other node.
+	reg := vscsistats.NewRegistry()
+	metrics := vscsistats.NewMetricsExporter(reg).WithFleet(agg).WithFleetObs(obs)
+	if rex != nil {
+		metrics = metrics.WithFleetReExport(rex)
+	}
+	return vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
+		Metrics:    metrics,
+		Fleet:      agg,
+		FleetTrace: obs.ChromeTraceHandler(),
+	})
+}
+
+// agentHandler is an agent's stats surface: its registry, /metrics with
+// the vSCSI disk counters and the pipeline series, /debug/fleettrace.
+func agentHandler(reg *vscsistats.Registry, disks vscsistats.DiskStatsSource, obs *vscsistats.FleetObsTracker) http.Handler {
+	return vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
+		Metrics:    vscsistats.NewMetricsExporter(reg).WithDiskStats(disks).WithFleetObs(obs),
+		FleetTrace: obs.ChromeTraceHandler(),
+	})
+}
+
+// simHandler is the datacenter sim's stats surface. The sim has no
+// registry of its own to serve — its collectors live inside the per-host
+// worlds — but /metrics with the vscsim_* series makes the world's size,
+// pacing and push health scrapable.
+func simHandler(sim *vscsistats.DatacenterSim) http.Handler {
+	reg := vscsistats.NewRegistry()
+	return vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
+		Metrics: vscsistats.NewMetricsExporter(reg).WithSim(sim),
+	})
 }
 
 func orNone(s string) string {
