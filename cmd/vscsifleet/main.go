@@ -338,10 +338,12 @@ func aggregatorHandler(agg *vscsistats.FleetAggregator, rex *vscsistats.FleetReE
 	// The aggregator has no local disks; its registry exists so the stats
 	// surface (and /healthz) comes up uniform with every other node.
 	reg := vscsistats.NewRegistry()
-	metrics := vscsistats.NewMetricsExporter(reg).WithFleet(agg).WithFleetObs(obs)
+	// Attach order is emit order: aggregator, re-exporter, tracker.
+	metrics := vscsistats.NewMetricsExporter(reg).With(agg)
 	if rex != nil {
-		metrics = metrics.WithFleetReExport(rex)
+		metrics.With(rex)
 	}
+	metrics.With(obs)
 	return vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
 		Metrics:    metrics,
 		Fleet:      agg,
@@ -353,7 +355,7 @@ func aggregatorHandler(agg *vscsistats.FleetAggregator, rex *vscsistats.FleetReE
 // the vSCSI disk counters and the pipeline series, /debug/fleettrace.
 func agentHandler(reg *vscsistats.Registry, disks vscsistats.DiskStatsSource, obs *vscsistats.FleetObsTracker) http.Handler {
 	return vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
-		Metrics:    vscsistats.NewMetricsExporter(reg).WithDiskStats(disks).WithFleetObs(obs),
+		Metrics:    vscsistats.NewMetricsExporter(reg).WithDiskStats(disks).With(obs),
 		FleetTrace: obs.ChromeTraceHandler(),
 	})
 }
@@ -365,7 +367,7 @@ func agentHandler(reg *vscsistats.Registry, disks vscsistats.DiskStatsSource, ob
 func simHandler(sim *vscsistats.DatacenterSim) http.Handler {
 	reg := vscsistats.NewRegistry()
 	return vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
-		Metrics: vscsistats.NewMetricsExporter(reg).WithSim(sim),
+		Metrics: vscsistats.NewMetricsExporter(reg).With(sim),
 	})
 }
 

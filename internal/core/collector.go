@@ -299,9 +299,9 @@ const batchStack = 64
 // streamSample is one command's stream-correlated samples, computed under
 // the stream mutex and inserted after release.
 type streamSample struct {
-	seek, wseek, inter          int64
+	seek, wseek, inter             int64
 	haveSeek, haveWseek, haveInter bool
-	class                       int
+	class                          int
 }
 
 // OnIssueBatch records the arrival-side metrics for a burst of commands

@@ -61,4 +61,3 @@ func TestRegistryDeterministicOrder(t *testing.T) {
 		}
 	}
 }
-

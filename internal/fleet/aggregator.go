@@ -866,66 +866,66 @@ func (g *Aggregator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch path {
 	case "hosts":
 		if r.Method != http.MethodGet {
-			fleetError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 			return
 		}
-		writeFleetJSON(w, g.Hosts())
+		telemetry.WriteJSON(w, g.Hosts())
 	case "snapshot":
 		if r.Method != http.MethodGet {
-			fleetError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 			return
 		}
 		g.serveSnapshot(w, r)
 	case "shards":
 		if r.Method != http.MethodGet {
-			fleetError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 			return
 		}
 		if host := r.URL.Query().Get("host"); host != "" {
-			writeFleetJSON(w, map[string]any{
+			telemetry.WriteJSON(w, map[string]any{
 				"host": host, "shard": g.ShardFor(host), "shards": g.NumShards(),
 			})
 			return
 		}
-		writeFleetJSON(w, g.Shards())
+		telemetry.WriteJSON(w, g.Shards())
 	case "history":
 		if r.Method != http.MethodGet {
-			fleetError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 			return
 		}
 		g.serveHistory(w, r)
 	case "catalog":
 		if r.Method != http.MethodGet {
-			fleetError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 			return
 		}
 		g.serveCatalog(w, r)
 	case "log":
 		if r.Method != http.MethodGet {
-			fleetError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 			return
 		}
-		writeFleetJSON(w, g.LogStats())
+		telemetry.WriteJSON(w, g.LogStats())
 	case "events":
 		if g.cfg.Obs == nil {
-			fleetError(w, http.StatusNotFound, "observability disabled (AggregatorConfig.Obs unset)")
+			telemetry.JSONError(w, http.StatusNotFound, "observability disabled (AggregatorConfig.Obs unset)")
 			return
 		}
 		g.cfg.Obs.ServeEvents(w, r)
 	case "slow":
 		if g.cfg.Obs == nil {
-			fleetError(w, http.StatusNotFound, "observability disabled (AggregatorConfig.Obs unset)")
+			telemetry.JSONError(w, http.StatusNotFound, "observability disabled (AggregatorConfig.Obs unset)")
 			return
 		}
 		g.cfg.Obs.ServeSlow(w, r)
 	case "push":
 		if r.Method != http.MethodPost {
-			fleetError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodPost)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodPost)
 			return
 		}
 		g.servePush(w, r)
 	default:
-		fleetError(w, http.StatusNotFound, "not found")
+		telemetry.JSONError(w, http.StatusNotFound, "not found")
 	}
 }
 
@@ -934,23 +934,23 @@ func (g *Aggregator) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 	if vm := r.URL.Query().Get("vm"); vm != "" {
 		for _, s := range g.VMSnapshots(includeStale) {
 			if s.VM == vm {
-				writeFleetJSON(w, s)
+				telemetry.WriteJSON(w, s)
 				return
 			}
 		}
-		fleetError(w, http.StatusNotFound, "unknown vm")
+		telemetry.JSONError(w, http.StatusNotFound, "unknown vm")
 		return
 	}
 	if r.URL.Query().Get("view") == "vms" {
-		writeFleetJSON(w, g.VMSnapshots(includeStale))
+		telemetry.WriteJSON(w, g.VMSnapshots(includeStale))
 		return
 	}
 	s := g.ClusterSnapshot(includeStale)
 	if s == nil {
-		fleetError(w, http.StatusConflict, "no fresh host has reported")
+		telemetry.JSONError(w, http.StatusConflict, "no fresh host has reported")
 		return
 	}
-	writeFleetJSON(w, s)
+	telemetry.WriteJSON(w, s)
 }
 
 func (g *Aggregator) servePush(w http.ResponseWriter, r *http.Request) {
@@ -972,7 +972,7 @@ func (g *Aggregator) servePush(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		g.rejected.Add(1)
-		fleetError(w, http.StatusBadRequest, err.Error())
+		telemetry.JSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Attribute ingest CPU to the pipeline: pprof samples taken inside
@@ -988,7 +988,7 @@ func (g *Aggregator) servePush(w http.ResponseWriter, r *http.Request) {
 			fleetResyncError(w, ierr)
 			return
 		}
-		fleetError(w, http.StatusBadRequest, ierr.Error())
+		telemetry.JSONError(w, http.StatusBadRequest, ierr.Error())
 		return
 	}
 	g.recvBytes.Add(r.ContentLength)
@@ -1000,7 +1000,7 @@ func (g *Aggregator) servePush(w http.ResponseWriter, r *http.Request) {
 			Detail: fmt.Sprintf("delta=%t snapshots=%d", b.Delta, len(b.Snapshots)),
 		})
 	}
-	writeFleetJSON(w, map[string]any{"host": b.Host, "seq": b.Seq, "snapshots": len(b.Snapshots)})
+	telemetry.WriteJSON(w, map[string]any{"host": b.Host, "seq": b.Seq, "snapshots": len(b.Snapshots)})
 }
 
 // fleetResyncError writes the 409 resync response; the body carries the
@@ -1012,77 +1012,6 @@ func fleetResyncError(w http.ResponseWriter, err error) {
 		"error":        err.Error(),
 		"resync_cause": string(resyncCauseOf(err)),
 	})
-}
-
-// fleetError mirrors httpstats's JSON error contract.
-func fleetError(w http.ResponseWriter, code int, msg string, allow ...string) {
-	if len(allow) > 0 {
-		w.Header().Set("Allow", strings.Join(allow, ", "))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-func writeFleetJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// --- telemetry integration ---
-
-// FleetHosts implements telemetry.FleetSource: per-host liveness for the
-// fleet_* Prometheus series.
-func (g *Aggregator) FleetHosts() []telemetry.FleetHost {
-	hosts := g.Hosts()
-	out := make([]telemetry.FleetHost, 0, len(hosts))
-	for _, h := range hosts {
-		out = append(out, telemetry.FleetHost{
-			Host:       h.Host,
-			Stale:      h.Stale,
-			AgeSeconds: h.AgeSeconds,
-			Snapshots:  h.Snapshots,
-			Batches:    h.Batches,
-			Seq:        h.Seq,
-		})
-	}
-	return out
-}
-
-// FleetCluster implements telemetry.FleetSource: the cluster-wide merge of
-// every fresh host (nil when none).
-func (g *Aggregator) FleetCluster() *core.Snapshot {
-	return g.ClusterSnapshot(false)
-}
-
-// FleetVMs implements telemetry.FleetSource: the per-VM merges across all
-// fresh hosts, sorted by VM name.
-func (g *Aggregator) FleetVMs() []*core.Snapshot {
-	return g.VMSnapshots(false)
-}
-
-// FleetLogStats implements telemetry.FleetLogSource: segment-log size and
-// maintenance counters for the vscsistats_fleet_log_* series.
-func (g *Aggregator) FleetLogStats() (telemetry.FleetLog, bool) {
-	st := g.LogStats()
-	if !st.Enabled {
-		return telemetry.FleetLog{}, false
-	}
-	return telemetry.FleetLog{
-		Segments:        st.Segments,
-		Bytes:           st.Bytes,
-		Appends:         st.Appends,
-		AppendBytes:     st.AppendBytes,
-		AppendErrors:    st.AppendErrors,
-		Fsyncs:          st.Fsyncs,
-		Rotations:       st.Rotations,
-		Compactions:     st.Compactions,
-		SegmentsRetired: st.SegmentsRetired,
-		FramesReplayed:  st.FramesReplayed,
-		TornTails:       st.TornTails,
-	}, true
 }
 
 // Tiers groups the aggregator's host set by federation level, ascending.
@@ -1120,37 +1049,4 @@ type TierStatus struct {
 	Hosts      int `json:"hosts"`
 	StaleHosts int `json:"stale_hosts"`
 	Leaves     int `json:"leaves"`
-}
-
-// FleetTiers implements telemetry.FleetTierSource: per-level gauges for
-// the vscsistats_fleet_tier_* series.
-func (g *Aggregator) FleetTiers() []telemetry.FleetTier {
-	tiers := g.Tiers()
-	out := make([]telemetry.FleetTier, 0, len(tiers))
-	for _, t := range tiers {
-		out = append(out, telemetry.FleetTier{
-			Level: t.Level, Hosts: t.Hosts, StaleHosts: t.StaleHosts, Leaves: t.Leaves,
-		})
-	}
-	return out
-}
-
-// FleetShards implements telemetry.FleetShardSource: per-shard gauges and
-// counters for the vscsistats_fleet_shard_* series.
-func (g *Aggregator) FleetShards() []telemetry.FleetShard {
-	shards := g.Shards()
-	out := make([]telemetry.FleetShard, 0, len(shards))
-	for _, s := range shards {
-		out = append(out, telemetry.FleetShard{
-			Index:            s.Shard,
-			Hosts:            s.Hosts,
-			StaleHosts:       s.StaleHosts,
-			Batches:          s.Batches,
-			DeltasApplied:    s.DeltasApplied,
-			Resyncs:          s.Resyncs,
-			MergeCacheHits:   s.MergeCacheHits,
-			MergeCacheMisses: s.MergeCacheMisses,
-		})
-	}
-	return out
 }

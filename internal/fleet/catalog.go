@@ -4,6 +4,7 @@ import (
 	"net/http"
 
 	"vscsistats/internal/analysis"
+	"vscsistats/internal/telemetry"
 )
 
 // Fleet-scope workload classification — the paper's §7 automatic
@@ -99,7 +100,7 @@ func (g *Aggregator) ClassifyVMs(includeStale bool) *CatalogResult {
 func (g *Aggregator) serveCatalog(w http.ResponseWriter, r *http.Request) {
 	cat := g.catalog.Load()
 	if cat == nil {
-		fleetError(w, http.StatusNotFound, errNoCatalog)
+		telemetry.JSONError(w, http.StatusNotFound, errNoCatalog)
 		return
 	}
 	includeStale := r.URL.Query().Get("include_stale") == "1"
@@ -110,7 +111,7 @@ func (g *Aggregator) serveCatalog(w http.ResponseWriter, r *http.Request) {
 			}
 			matches, err := cat.Classify(s)
 			if err != nil {
-				fleetError(w, http.StatusConflict, err.Error())
+				telemetry.JSONError(w, http.StatusConflict, err.Error())
 				return
 			}
 			out := CatalogVM{
@@ -120,11 +121,11 @@ func (g *Aggregator) serveCatalog(w http.ResponseWriter, r *http.Request) {
 			for i, m := range matches {
 				out.Ranking[i] = CatalogScore{Name: m.Name, Score: m.Score, Components: m.Components}
 			}
-			writeFleetJSON(w, out)
+			telemetry.WriteJSON(w, out)
 			return
 		}
-		fleetError(w, http.StatusNotFound, "unknown vm")
+		telemetry.JSONError(w, http.StatusNotFound, "unknown vm")
 		return
 	}
-	writeFleetJSON(w, g.ClassifyVMs(includeStale))
+	telemetry.WriteJSON(w, g.ClassifyVMs(includeStale))
 }

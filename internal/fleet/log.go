@@ -92,12 +92,12 @@ type segmentInfo struct {
 // rotation and compaction; reads (history scans) only take it long enough
 // to copy the current path list.
 type logShard struct {
-	mu     sync.Mutex
-	dirIdx int
-	dir    string
-	sealed []segmentInfo
-	active segmentInfo
-	f      *os.File // nil until the first append after open/rotation
+	mu       sync.Mutex
+	dirIdx   int
+	dir      string
+	sealed   []segmentInfo
+	active   segmentInfo
+	f        *os.File // nil until the first append after open/rotation
 	lastSync time.Time
 }
 

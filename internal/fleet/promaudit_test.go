@@ -50,7 +50,7 @@ func TestMetricsExpositionAudit(t *testing.T) {
 		}
 	}
 
-	exp := telemetry.NewExporter(reg).WithFleet(agg).WithFleetObs(obs)
+	exp := telemetry.NewExporter(reg).With(agg).With(obs)
 	srv := httptest.NewServer(exp)
 	defer srv.Close()
 
@@ -95,7 +95,7 @@ func TestScrapeVsIngestRace(t *testing.T) {
 	obs := fleetobs.New(fleetobs.Config{SampleEvery: 1})
 	agg := NewAggregator(AggregatorConfig{StaleAfter: time.Hour, Obs: obs})
 	reg := makeRegistry(1, 1, 2, 50)
-	exp := telemetry.NewExporter(reg).WithFleet(agg).WithFleetObs(obs)
+	exp := telemetry.NewExporter(reg).With(agg).With(obs)
 	srv := httptest.NewServer(exp)
 	defer srv.Close()
 

@@ -14,7 +14,6 @@ import (
 
 	"vscsistats/internal/core"
 	"vscsistats/internal/fleetobs"
-	"vscsistats/internal/telemetry"
 )
 
 // ReExporterConfig tunes a ReExporter. Zero values take the documented
@@ -478,22 +477,4 @@ func (r *ReExporter) Stats() ReExporterStats {
 		s.LastError = *msg
 	}
 	return s
-}
-
-// FleetReExportStats implements telemetry.FleetReExportSource for the
-// vscsistats_fleet_tier_reexport_* series.
-func (r *ReExporter) FleetReExportStats() telemetry.FleetReExport {
-	s := r.Stats()
-	return telemetry.FleetReExport{
-		Region:      s.Region,
-		Upstream:    s.Upstream,
-		Level:       s.Level,
-		Pushes:      s.Pushes,
-		DeltaPushes: s.DeltaPushes,
-		Heartbeats:  s.Heartbeats,
-		FullPushes:  s.FullPushes,
-		Resyncs:     s.Resyncs,
-		Errors:      s.Errors,
-		SentBytes:   s.SentBytes,
-	}
 }

@@ -17,9 +17,9 @@
 //     nothing else.
 //   - Structural events (push received, resync with cause, rotation,
 //     retention delete, compaction begin/commit, torn-tail truncation,
-//     replay summary) go to a bounded mutex-free ring, served as JSON
-//     and as a Chrome trace-event view (hosts as processes, stages as
-//     threads).
+//     replay summary) go to telemetry's bounded lock-free Ring, served
+//     as JSON and through telemetry's Chrome trace writer (hosts as
+//     processes, stages as threads).
 //   - A top-K ring keeps the slowest operations seen, with an atomic
 //     admission floor so fast operations skip its lock entirely.
 //
@@ -30,6 +30,7 @@ package fleetobs
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -180,7 +181,7 @@ type Tracker struct {
 	hists [numStages]*histogram.Histogram
 	ops   atomic.Uint64
 	mask  uint64
-	ring  *eventRing
+	ring  *telemetry.Ring[Event]
 	slow  *slowRing
 	kinds [numKinds]atomic.Int64 // +1 slot: unknown kinds
 }
@@ -199,7 +200,7 @@ func New(cfg Config) *Tracker {
 	t := &Tracker{
 		cfg:  cfg,
 		mask: uint64(cfg.SampleEvery - 1),
-		ring: newEventRing(cfg.RingSize),
+		ring: telemetry.NewRing[Event](cfg.RingSize),
 		slow: newSlowRing(cfg.SlowK),
 	}
 	for st := Stage(0); st < numStages; st++ {
@@ -301,7 +302,7 @@ func (t *Tracker) emit(e Event) {
 	} else {
 		t.kinds[len(eventKinds)].Add(1)
 	}
-	t.ring.push(e)
+	t.ring.Push(e)
 }
 
 // Events returns up to limit most-recent ring events, oldest first
@@ -310,7 +311,13 @@ func (t *Tracker) Events(limit int) []Event {
 	if t == nil {
 		return nil
 	}
-	return t.ring.events(limit)
+	entries := t.ring.Entries(limit)
+	out := make([]Event, len(entries))
+	for i, en := range entries {
+		out[i] = en.Value
+		out[i].Seq = en.Seq
+	}
+	return out
 }
 
 // EventsTotal returns how many events have ever been emitted (ring
@@ -353,30 +360,25 @@ func (t *Tracker) Stages() []StageSnapshot {
 	return out
 }
 
-// FleetObsStages implements telemetry.FleetObsSource.
-func (t *Tracker) FleetObsStages() []telemetry.FleetObsStage {
+// WriteMetrics implements telemetry.MetricsWriter: the
+// vscsistats_fleetobs_* series, one cumulative histogram per pipeline
+// stage (labelled scope/stage) and per-kind event counters (unknown
+// kinds under "other"). A nil Tracker writes the headers only.
+func (t *Tracker) WriteMetrics(p *telemetry.PromWriter) {
+	const stageFam, eventFam = "vscsistats_fleetobs_stage_duration_nanoseconds", "vscsistats_fleetobs_events_total"
+	p.Family(stageFam, "histogram", "Fleet pipeline stage latency (sampled on hot paths), by scope and stage.")
+	for _, st := range t.Stages() {
+		p.Histogram(stageFam, telemetry.Label("scope", st.Stage.Scope())+","+telemetry.Label("stage", st.Stage.String()), st.Hist)
+	}
+	p.Family(eventFam, "counter", "Fleet pipeline events recorded, by kind (ring overwrites included).")
 	if t == nil {
-		return nil
+		return
 	}
-	out := make([]telemetry.FleetObsStage, 0, numStages)
-	for st := Stage(0); st < numStages; st++ {
-		out = append(out, telemetry.FleetObsStage{
-			Scope: st.Scope(), Stage: st.String(), Hist: t.hists[st].Snapshot(),
-		})
+	for i := range t.kinds {
+		kind := "other"
+		if i < len(eventKinds) {
+			kind = eventKinds[i]
+		}
+		p.Sample(eventFam, telemetry.Label("kind", kind), strconv.FormatInt(t.kinds[i].Load(), 10))
 	}
-	return out
-}
-
-// FleetObsEvents implements telemetry.FleetObsSource: per-kind event
-// counts in fixed order (unknown kinds aggregate under "other").
-func (t *Tracker) FleetObsEvents() []telemetry.FleetObsEventCount {
-	if t == nil {
-		return nil
-	}
-	out := make([]telemetry.FleetObsEventCount, 0, len(eventKinds)+1)
-	for i, k := range eventKinds {
-		out = append(out, telemetry.FleetObsEventCount{Kind: k, Count: t.kinds[i].Load()})
-	}
-	out = append(out, telemetry.FleetObsEventCount{Kind: "other", Count: t.kinds[len(eventKinds)].Load()})
-	return out
 }

@@ -3,11 +3,16 @@ package fleetobs
 import (
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"vscsistats/internal/core"
+	"vscsistats/internal/telemetry"
+	"vscsistats/internal/telemetry/promtest"
 )
 
 // TestStageNamesAndScopes pins the stage taxonomy: every stage has a
@@ -76,8 +81,8 @@ func TestSlowRingKeepsTopK(t *testing.T) {
 	if len(slow) != 2 {
 		t.Fatalf("slow ring holds %d, want 2", len(slow))
 	}
-	if slow[0].DurationNanos != (7 * time.Millisecond).Nanoseconds() ||
-		slow[1].DurationNanos != (5 * time.Millisecond).Nanoseconds() {
+	if slow[0].DurationNanos != (7*time.Millisecond).Nanoseconds() ||
+		slow[1].DurationNanos != (5*time.Millisecond).Nanoseconds() {
 		t.Errorf("slowest = %d, %d ns; want 7ms, 5ms", slow[0].DurationNanos, slow[1].DurationNanos)
 	}
 	if got := tr.Slowest(6*time.Millisecond, 0); len(got) != 1 {
@@ -124,8 +129,10 @@ func TestNilTrackerInert(t *testing.T) {
 	if tr.EventsTotal() != 0 {
 		t.Error("nil tracker counted events")
 	}
-	if tr.FleetObsStages() != nil || tr.FleetObsEvents() != nil {
-		t.Error("nil tracker exported telemetry")
+	for _, s := range scrape(t, tr) {
+		if strings.HasPrefix(s.Name, "vscsistats_fleetobs_") {
+			t.Errorf("nil tracker exported %s", s.SeriesKey())
+		}
 	}
 	if tr.Hist(StageIngest) != nil {
 		t.Error("nil tracker returned a histogram")
@@ -156,15 +163,65 @@ func TestObserveRecordsEverything(t *testing.T) {
 	if slow := tr.Slowest(0, 0); len(slow) != 1 || slow[0].TraceID != "esx-1-0-7" {
 		t.Errorf("slow ring = %+v", slow)
 	}
-	counts := tr.FleetObsEvents()
-	var stageCount int64
-	for _, c := range counts {
-		if c.Kind == KindStage {
-			stageCount = c.Count
-		}
+	samples := scrape(t, tr)
+	if c := promtest.Find(t, samples, "vscsistats_fleetobs_events_total", "kind", KindStage); c.Value != 1 {
+		t.Errorf("stage kind count = %v, want 1", c.Value)
 	}
-	if stageCount != 1 {
-		t.Errorf("stage kind count = %d, want 1", stageCount)
+	if c := promtest.Find(t, samples, "vscsistats_fleetobs_stage_duration_nanoseconds_count", "scope", "aggregator", "stage", "decode"); c.Value != 1 {
+		t.Errorf("decode stage count = %v, want 1", c.Value)
+	}
+}
+
+// scrape renders the tracker's families through an exporter and parses
+// them with the strict parser.
+func scrape(t *testing.T, tr *Tracker) []promtest.Sample {
+	t.Helper()
+	var sb strings.Builder
+	if err := telemetry.NewExporter(core.NewRegistry()).With(tr).Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return promtest.Parse(t, sb.String())
+}
+
+// TestHTTPErrorContract: every fleetobs route answers a bad method or a
+// bad query parameter with a JSON {"error": ...} body served as
+// application/json, and every 405 names the allowed method.
+func TestHTTPErrorContract(t *testing.T) {
+	tr := New(Config{})
+	routes := map[string]http.Handler{
+		"/fleet/events":     http.HandlerFunc(tr.ServeEvents),
+		"/fleet/slow":       http.HandlerFunc(tr.ServeSlow),
+		"/debug/fleettrace": tr.ChromeTraceHandler(),
+	}
+	cases := []struct {
+		method, url string
+		code        int
+	}{
+		{http.MethodPost, "/fleet/events", http.StatusMethodNotAllowed},
+		{http.MethodDelete, "/fleet/slow", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/debug/fleettrace", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/fleet/events?limit=-1", http.StatusBadRequest},
+		{http.MethodGet, "/fleet/events?limit=x", http.StatusBadRequest},
+		{http.MethodGet, "/fleet/slow?limit=1.5", http.StatusBadRequest},
+		{http.MethodGet, "/fleet/slow?threshold=soon", http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(c.method, c.url, nil)
+		routes[req.URL.Path].ServeHTTP(rec, req)
+		if rec.Code != c.code {
+			t.Errorf("%s %s = %d, want %d", c.method, c.url, rec.Code, c.code)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s: Content-Type %q, want application/json", c.method, c.url, ct)
+		}
+		var body struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+			t.Errorf("%s %s: body %q is not a JSON error (%v)", c.method, c.url, rec.Body.String(), err)
+		}
+		if allow := rec.Header().Get("Allow"); c.code == http.StatusMethodNotAllowed && allow != http.MethodGet {
+			t.Errorf("%s %s: Allow %q, want GET", c.method, c.url, allow)
+		}
 	}
 }
 
@@ -294,7 +351,14 @@ func TestChromeTraceValidJSON(t *testing.T) {
 	if metas < 4 || slices != 1 || instants != 2 {
 		t.Errorf("metas/slices/instants = %d/%d/%d, want >=4/1/2", metas, slices, instants)
 	}
+	if err := tr.WriteChromeTrace(errWriter{}); err == nil {
+		t.Error("WriteChromeTrace dropped a write error")
+	}
 }
+
+type errWriter struct{}
+
+func (errWriter) Write([]byte) (int, error) { return 0, io.ErrShortWrite }
 
 // TestConcurrentObserveAndRead hammers one tracker from writers and
 // readers at once — the -race proof for the lock-free ring, the slow

@@ -1,34 +1,53 @@
 package fleetobs
 
 import (
+	"cmp"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
+
+	"vscsistats/internal/telemetry"
 )
+
+// getOnly answers anything but GET with a JSON 405 and reports whether
+// the request may proceed.
+func getOnly(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method != http.MethodGet {
+		telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+		return false
+	}
+	return true
+}
+
+// parseLimit reads the limit= query parameter (0 when absent), answering
+// a malformed one with a JSON 400.
+func parseLimit(w http.ResponseWriter, r *http.Request) (int, bool) {
+	s := r.URL.Query().Get("limit")
+	if s == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 0 {
+		telemetry.JSONError(w, http.StatusBadRequest, "bad limit")
+		return 0, false
+	}
+	return n, true
+}
 
 // ServeEvents handles GET /fleet/events: the event ring as JSON,
 // oldest first. Query parameters: kind= and host= filter, limit=
 // bounds the result (default: the whole ring).
 func (t *Tracker) ServeEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, `{"error": "method not allowed"}`, http.StatusMethodNotAllowed)
+	if !getOnly(w, r) {
 		return
 	}
 	kind := r.URL.Query().Get("kind")
 	host := r.URL.Query().Get("host")
-	limit := 0
-	if s := r.URL.Query().Get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			http.Error(w, `{"error": "bad limit"}`, http.StatusBadRequest)
-			return
-		}
-		limit = n
+	limit, ok := parseLimit(w, r)
+	if !ok {
+		return
 	}
 	events := t.Events(0)
 	filtered := events[:0:0]
@@ -44,7 +63,7 @@ func (t *Tracker) ServeEvents(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 && len(filtered) > limit {
 		filtered = filtered[len(filtered)-limit:]
 	}
-	writeObsJSON(w, map[string]any{
+	telemetry.WriteJSON(w, map[string]any{
 		"total":  t.EventsTotal(),
 		"events": filtered,
 	})
@@ -54,9 +73,7 @@ func (t *Tracker) ServeEvents(w http.ResponseWriter, r *http.Request) {
 // slowest first. threshold= takes a Go duration ("10ms") or an integer
 // nanosecond count; limit= bounds the result.
 func (t *Tracker) ServeSlow(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, `{"error": "method not allowed"}`, http.StatusMethodNotAllowed)
+	if !getOnly(w, r) {
 		return
 	}
 	var threshold time.Duration
@@ -65,44 +82,28 @@ func (t *Tracker) ServeSlow(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			n, nerr := strconv.ParseInt(s, 10, 64)
 			if nerr != nil {
-				http.Error(w, `{"error": "bad threshold (want duration like 10ms or integer nanos)"}`, http.StatusBadRequest)
+				telemetry.JSONError(w, http.StatusBadRequest, "bad threshold (want duration like 10ms or integer nanos)")
 				return
 			}
 			d = time.Duration(n)
 		}
 		threshold = d
 	}
-	limit := 0
-	if s := r.URL.Query().Get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			http.Error(w, `{"error": "bad limit"}`, http.StatusBadRequest)
-			return
-		}
-		limit = n
+	limit, ok := parseLimit(w, r)
+	if !ok {
+		return
 	}
-	writeObsJSON(w, map[string]any{
+	telemetry.WriteJSON(w, map[string]any{
 		"threshold_nanos": threshold.Nanoseconds(),
 		"ops":             t.Slowest(threshold, limit),
 	})
 }
 
-func writeObsJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 // ChromeTraceHandler serves the event ring in the Chrome trace-event
-// format (load in chrome://tracing or Perfetto). Hosts map to
-// processes, stages and event kinds to threads; events without a host
-// group under a synthetic process named after their scope.
+// format (load in chrome://tracing or Perfetto).
 func (t *Tracker) ChromeTraceHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		if !getOnly(w, r) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -111,111 +112,32 @@ func (t *Tracker) ChromeTraceHandler() http.Handler {
 }
 
 // WriteChromeTrace renders the current event ring as a Chrome
-// trace-event JSON array. Timed events become complete ("X") slices
-// whose start is end-time minus duration; instantaneous events become
-// instants ("i"). Process and thread ids are assigned stably by sorted
-// name, so repeated captures line up.
-func (t *Tracker) WriteChromeTrace(w io.Writer) {
+// trace-event JSON array. Hosts map to processes (events without a host
+// group under their scope, or "fleet"), stages and event kinds to
+// threads. Timed events become slices whose start is end-time minus
+// duration; instantaneous events become instants.
+func (t *Tracker) WriteChromeTrace(w io.Writer) error {
 	events := t.Events(0)
-
-	// A process per host (or per scope for host-less events); a thread
-	// per stage/kind within each process.
-	procName := func(e Event) string {
-		if e.Host != "" {
-			return e.Host
+	spans := make([]telemetry.Span, len(events))
+	for i, e := range events {
+		sp := telemetry.Span{Process: cmp.Or(e.Host, e.Scope, "fleet"), Thread: cmp.Or(e.Stage, e.Kind), Cat: "pipeline"}
+		sp.Name = sp.Thread
+		if e.Cause != "" {
+			sp.Name += ":" + e.Cause
 		}
-		if e.Scope != "" {
-			return e.Scope
+		if e.Kind != KindStage {
+			sp.Cat = "control"
 		}
-		return "fleet"
-	}
-	threadName := func(e Event) string {
-		if e.Stage != "" {
-			return e.Stage
+		if e.DurationNanos > 0 {
+			sp.Ts, sp.Dur = (e.UnixNano-e.DurationNanos)/1000, e.DurationNanos/1000
+		} else {
+			sp.Ts, sp.Instant = e.UnixNano/1000, "p"
 		}
-		return e.Kind
-	}
-	procSet := map[string]bool{}
-	threadSet := map[string]bool{} // "proc\x00thread"
-	for _, e := range events {
-		p := procName(e)
-		procSet[p] = true
-		threadSet[p+"\x00"+threadName(e)] = true
-	}
-	procs := make([]string, 0, len(procSet))
-	for p := range procSet {
-		procs = append(procs, p)
-	}
-	sort.Strings(procs)
-	pid := map[string]int{}
-	for i, p := range procs {
-		pid[p] = i + 1
-	}
-	threads := make([]string, 0, len(threadSet))
-	for th := range threadSet {
-		threads = append(threads, th)
-	}
-	sort.Strings(threads)
-	tid := map[string]int{}
-	next := map[string]int{} // per-process thread counter
-	for _, th := range threads {
-		var proc string
-		for i := 0; i < len(th); i++ {
-			if th[i] == 0 {
-				proc = th[:i]
-				break
-			}
-		}
-		next[proc]++
-		tid[th] = next[proc]
-	}
-
-	first := true
-	emit := func(format string, args ...any) {
-		if !first {
-			io.WriteString(w, ",\n")
-		}
-		first = false
-		fmt.Fprintf(w, format, args...)
-	}
-	io.WriteString(w, "[\n")
-	for _, p := range procs {
-		emit(`{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":%q}}`, pid[p], p)
-	}
-	for _, th := range threads {
-		var proc, name string
-		for i := 0; i < len(th); i++ {
-			if th[i] == 0 {
-				proc, name = th[:i], th[i+1:]
-				break
-			}
-		}
-		emit(`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%q}}`,
-			pid[proc], tid[th], name)
-	}
-	for _, e := range events {
-		p := procName(e)
-		th := p + "\x00" + threadName(e)
-		args, _ := json.Marshal(map[string]any{
+		sp.Args, _ = json.Marshal(map[string]any{
 			"seq": e.Seq, "trace_id": e.TraceID, "batch_seq": e.BatchSeq,
 			"shard": e.Shard, "cause": e.Cause, "detail": e.Detail,
 		})
-		name := threadName(e)
-		if e.Cause != "" {
-			name += ":" + e.Cause
-		}
-		cat := "pipeline"
-		if e.Kind != KindStage {
-			cat = "control"
-		}
-		if e.DurationNanos > 0 {
-			startMicros := (e.UnixNano - e.DurationNanos) / 1000
-			emit(`{"ph":"X","name":%q,"cat":%q,"pid":%d,"tid":%d,"ts":%d,"dur":%d,"args":%s}`,
-				name, cat, pid[p], tid[th], startMicros, e.DurationNanos/1000, args)
-			continue
-		}
-		emit(`{"ph":"i","name":%q,"cat":%q,"pid":%d,"tid":%d,"ts":%d,"s":"p","args":%s}`,
-			name, cat, pid[p], tid[th], e.UnixNano/1000, args)
+		spans[i] = sp
 	}
-	io.WriteString(w, "\n]\n")
+	return telemetry.WriteChromeTrace(w, spans)
 }

@@ -1,15 +1,12 @@
 package telemetry
 
 import (
-	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"sync"
 	"sync/atomic"
 
-	"vscsistats/internal/scsi"
 	"vscsistats/internal/trace"
 	"vscsistats/internal/vscsi"
 )
@@ -61,19 +58,16 @@ type Event struct {
 }
 
 // LifecycleTracer keeps the last N issue/complete/enable/disable/reset/
-// snapshot events in a fixed-size ring and exports them as Chrome
-// trace-event JSON (load the output in chrome://tracing or Perfetto).
+// snapshot events in a Ring and exports them as Chrome trace-event JSON
+// (load the output in chrome://tracing or Perfetto).
 //
 // Unlike internal/trace.Tracer — a single-goroutine buffer for offline
-// traces — this ring is mutex-guarded so every world of a parallel
+// traces — the ring is lock-free, so every world of a parallel
 // simulation can feed one tracer while HTTP handlers drain it. It is an
 // opt-in vscsi.Observer: attach it with Disk.AddObserver alongside the
 // collector.
 type LifecycleTracer struct {
-	mu    sync.Mutex
-	ring  []Event
-	next  int   // ring index of the next write
-	total int64 // lifetime events, including overwritten ones
+	ring *Ring[Event]
 	// lastVirtual tracks the most recent virtual timestamp seen on the
 	// fast path, so control events — which happen outside virtual time —
 	// can be placed on the same axis.
@@ -83,24 +77,21 @@ type LifecycleTracer struct {
 // NewLifecycleTracer returns a tracer retaining the last capacity events
 // (minimum 1).
 func NewLifecycleTracer(capacity int) *LifecycleTracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &LifecycleTracer{ring: make([]Event, 0, capacity)}
+	return &LifecycleTracer{ring: NewRing[Event](capacity)}
 }
 
 // OnIssue records a command issue. Part of the vscsi.Observer surface.
 func (t *LifecycleTracer) OnIssue(r *vscsi.Request) {
 	ts := r.IssueTime.Micros()
 	t.lastVirtual.Store(ts)
-	t.push(Event{Kind: EventIssue, VM: r.VM, Disk: r.Disk, VirtualMicros: ts, Rec: trace.FromRequest(r)})
+	t.ring.Push(Event{Kind: EventIssue, VM: r.VM, Disk: r.Disk, VirtualMicros: ts, Rec: trace.FromRequest(r)})
 }
 
 // OnComplete records a command completion.
 func (t *LifecycleTracer) OnComplete(r *vscsi.Request) {
 	ts := r.CompleteTime.Micros()
 	t.lastVirtual.Store(ts)
-	t.push(Event{Kind: EventComplete, VM: r.VM, Disk: r.Disk, VirtualMicros: ts, Rec: trace.FromRequest(r)})
+	t.ring.Push(Event{Kind: EventComplete, VM: r.VM, Disk: r.Disk, VirtualMicros: ts, Rec: trace.FromRequest(r)})
 }
 
 // Control records a service control event (enable/disable/reset/snapshot).
@@ -108,7 +99,7 @@ func (t *LifecycleTracer) OnComplete(r *vscsi.Request) {
 func (t *LifecycleTracer) Control(kind EventKind, vm, disk string) {
 	switch kind {
 	case EventEnable, EventDisable, EventReset, EventSnapshot:
-		t.push(Event{Kind: kind, VM: vm, Disk: disk, VirtualMicros: t.lastVirtual.Load()})
+		t.ring.Push(Event{Kind: kind, VM: vm, Disk: disk, VirtualMicros: t.lastVirtual.Load()})
 	}
 }
 
@@ -116,152 +107,75 @@ func (t *LifecycleTracer) Control(kind EventKind, vm, disk string) {
 // ("enable", "disable", "reset" or "snapshot"); unknown verbs are ignored.
 // Its signature matches httpstats.Options.OnControl.
 func (t *LifecycleTracer) ControlVerb(verb, vm, disk string) {
-	switch verb {
-	case "enable":
-		t.Control(EventEnable, vm, disk)
-	case "disable":
-		t.Control(EventDisable, vm, disk)
-	case "reset":
-		t.Control(EventReset, vm, disk)
-	case "snapshot":
-		t.Control(EventSnapshot, vm, disk)
+	for k := EventEnable; k <= EventSnapshot; k++ {
+		if verb == k.String() {
+			t.Control(k, vm, disk)
+		}
 	}
-}
-
-func (t *LifecycleTracer) push(e Event) {
-	t.mu.Lock()
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, e)
-	} else {
-		t.ring[t.next] = e
-	}
-	t.next = (t.next + 1) % cap(t.ring)
-	t.total++
-	t.mu.Unlock()
 }
 
 // Events returns the retained events, oldest first.
 func (t *LifecycleTracer) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.ring))
-	if len(t.ring) == cap(t.ring) {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-	} else {
-		out = append(out, t.ring...)
+	entries := t.ring.Entries(0)
+	out := make([]Event, len(entries))
+	for i, e := range entries {
+		out[i] = e.Value
 	}
 	return out
 }
 
-// Len is the number of retained events; Cap the ring capacity; Total the
-// lifetime event count including overwritten entries.
-func (t *LifecycleTracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ring)
-}
+// Len is the number of retained events.
+func (t *LifecycleTracer) Len() int { return t.ring.Len() }
 
 // Cap returns the ring capacity.
-func (t *LifecycleTracer) Cap() int { return cap(t.ring) }
+func (t *LifecycleTracer) Cap() int { return t.ring.Cap() }
 
 // Total returns the lifetime event count, including overwritten entries.
-func (t *LifecycleTracer) Total() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
+func (t *LifecycleTracer) Total() int64 { return int64(t.ring.Total()) }
+
+// ioArgs are the trace args of a fast-path event; completions add the
+// queue depth and status.
+type ioArgs struct {
+	Seq         uint64  `json:"seq"`
+	LBA         uint64  `json:"lba"`
+	Blocks      uint32  `json:"blocks"`
+	Outstanding *uint16 `json:"outstanding,omitempty"`
+	Status      string  `json:"status,omitempty"`
 }
 
 // WriteChromeTrace renders the retained events as a Chrome trace-event
-// JSON array. Completions become "X" (complete) slices spanning
-// issue→completion; issues and control verbs become "i" instants; each VM
-// is a pid and each disk a tid, named via "M" metadata events.
+// JSON array. Each VM is a process and each disk a thread; completions
+// become slices spanning issue→completion, issues and control verbs
+// instants.
 func (t *LifecycleTracer) WriteChromeTrace(w io.Writer) error {
 	events := t.Events()
-
-	// Stable pid/tid assignment: collect identities, sort, number.
-	vms := map[string]int{}
-	disks := map[[2]string]int{}
-	for _, e := range events {
-		if _, ok := vms[e.VM]; !ok {
-			vms[e.VM] = 0
-		}
-		disks[[2]string{e.VM, e.Disk}] = 0
-	}
-	vmNames := make([]string, 0, len(vms))
-	for vm := range vms {
-		vmNames = append(vmNames, vm)
-	}
-	sort.Strings(vmNames)
-	for i, vm := range vmNames {
-		vms[vm] = i + 1
-	}
-	diskKeys := make([][2]string, 0, len(disks))
-	for k := range disks {
-		diskKeys = append(diskKeys, k)
-	}
-	sort.Slice(diskKeys, func(i, j int) bool {
-		if diskKeys[i][0] != diskKeys[j][0] {
-			return diskKeys[i][0] < diskKeys[j][0]
-		}
-		return diskKeys[i][1] < diskKeys[j][1]
-	})
-	for i, k := range diskKeys {
-		disks[k] = i + 1
-	}
-
-	bw := bufio.NewWriter(w)
-	first := true
-	emit := func(format string, args ...any) {
-		if first {
-			first = false
-		} else {
-			bw.WriteString(",\n")
-		}
-		fmt.Fprintf(bw, format, args...)
-	}
-
-	bw.WriteString("[\n")
-	for _, vm := range vmNames {
-		emit(`{"ph":"M","name":"process_name","pid":%d,"args":{"name":%q}}`, vms[vm], "vm "+vm)
-	}
-	for _, k := range diskKeys {
-		emit(`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%q}}`,
-			vms[k[0]], disks[k], "disk "+k[1])
-	}
-	for _, e := range events {
-		pid := vms[e.VM]
-		tid := disks[[2]string{e.VM, e.Disk}]
+	spans := make([]Span, len(events))
+	for i, e := range events {
+		sp := Span{Process: "vm " + e.VM, Thread: "disk " + e.Disk, Cat: "io", Ts: e.VirtualMicros}
+		args := ioArgs{Seq: e.Rec.Seq, LBA: e.Rec.LBA, Blocks: e.Rec.Blocks}
 		switch e.Kind {
 		case EventComplete:
-			dur := e.Rec.LatencyMicros()
-			if dur < 0 {
-				dur = 0
-			}
-			emit(`{"ph":"X","name":%q,"cat":"io","pid":%d,"tid":%d,"ts":%d,"dur":%d,"args":{"seq":%d,"lba":%d,"blocks":%d,"outstanding":%d,"status":%q}}`,
-				opName(e.Rec.Op), pid, tid, e.Rec.IssueMicros, dur,
-				e.Rec.Seq, e.Rec.LBA, e.Rec.Blocks, e.Rec.Outstanding, e.Rec.Status.String())
+			sp.Name, sp.Ts, sp.Dur = e.Rec.Op.String(), e.Rec.IssueMicros, max(e.Rec.LatencyMicros(), 0)
+			args.Outstanding, args.Status = &e.Rec.Outstanding, e.Rec.Status.String()
 		case EventIssue:
-			emit(`{"ph":"i","name":%q,"cat":"io","s":"t","pid":%d,"tid":%d,"ts":%d,"args":{"seq":%d,"lba":%d,"blocks":%d}}`,
-				"issue "+opName(e.Rec.Op), pid, tid, e.VirtualMicros,
-				e.Rec.Seq, e.Rec.LBA, e.Rec.Blocks)
+			sp.Name, sp.Instant = "issue "+e.Rec.Op.String(), "t"
 		default:
-			emit(`{"ph":"i","name":%q,"cat":"control","s":"p","pid":%d,"tid":%d,"ts":%d,"args":{}}`,
-				e.Kind.String(), pid, tid, e.VirtualMicros)
+			sp.Name, sp.Cat, sp.Instant, sp.Args = e.Kind.String(), "control", "p", json.RawMessage("{}")
 		}
+		if sp.Args == nil {
+			sp.Args, _ = json.Marshal(args)
+		}
+		spans[i] = sp
 	}
-	bw.WriteString("\n]\n")
-	return bw.Flush()
+	return WriteChromeTrace(w, spans)
 }
 
 // ServeHTTP implements GET /debug/trace.
 func (t *LifecycleTracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		jsonError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+		JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	t.WriteChromeTrace(w)
 }
-
-func opName(op scsi.OpCode) string { return op.String() }

@@ -174,11 +174,11 @@ type seriesResponse struct {
 // point; n limits the response to the most recent n points.
 func (s *Streamer) ServeSeries(w http.ResponseWriter, r *http.Request, vm, disk string) {
 	if r.Method != http.MethodGet {
-		jsonError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+		JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 		return
 	}
 	if s.reg.Lookup(vm, disk) == nil {
-		jsonError(w, http.StatusNotFound, "no such disk")
+		JSONError(w, http.StatusNotFound, "no such disk")
 		return
 	}
 
@@ -193,7 +193,7 @@ func (s *Streamer) ServeSeries(w http.ResponseWriter, r *http.Request, vm, disk 
 			}
 		}
 		if !known {
-			jsonError(w, http.StatusBadRequest, "unknown metric "+strconv.Quote(m))
+			JSONError(w, http.StatusBadRequest, "unknown metric "+strconv.Quote(m))
 			return
 		}
 	}
@@ -205,7 +205,7 @@ func (s *Streamer) ServeSeries(w http.ResponseWriter, r *http.Request, vm, disk 
 	case "writes":
 		class = core.Writes
 	default:
-		jsonError(w, http.StatusBadRequest, "unknown class "+strconv.Quote(cl))
+		JSONError(w, http.StatusBadRequest, "unknown class "+strconv.Quote(cl))
 		return
 	}
 
@@ -213,7 +213,7 @@ func (s *Streamer) ServeSeries(w http.ResponseWriter, r *http.Request, vm, disk 
 	if nStr := r.URL.Query().Get("n"); nStr != "" {
 		n, err := strconv.Atoi(nStr)
 		if err != nil || n < 0 {
-			jsonError(w, http.StatusBadRequest, "bad n")
+			JSONError(w, http.StatusBadRequest, "bad n")
 			return
 		}
 		if n < len(points) {
@@ -329,12 +329,12 @@ func (s *Streamer) unsubscribe(ch chan []byte) {
 // when the client disconnects or the streamer is stopped.
 func (s *Streamer) ServeWatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		jsonError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+		JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		jsonError(w, http.StatusInternalServerError, "streaming unsupported")
+		JSONError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -9,9 +9,16 @@
 //     as cumulative Prometheus histograms (the paper's irregular bin edges
 //     become `le` bounds), and the collectors' self-telemetry — so Table
 //     2's overhead is a live, scrapeable metric;
-//   - a LifecycleTracer: a fixed-size ring of issue/complete and
-//     enable/disable/reset/snapshot events with Chrome trace-event JSON
-//     export (GET /debug/trace), built on internal/trace's record format;
+//   - one registration seam, Exporter.With: each subsystem (fleet
+//     aggregator, re-exporter, pipeline tracker, datacenter sim)
+//     implements MetricsWriter and renders its own families through
+//     PromWriter, so this package knows none of their types;
+//   - one bounded lock-free event Ring and one Chrome trace-event writer
+//     (WriteChromeTrace over Spans), shared by the LifecycleTracer here
+//     and by internal/fleetobs's pipeline tracker;
+//   - a LifecycleTracer: a Ring of issue/complete and enable/disable/
+//     reset/snapshot events exported as Chrome trace JSON
+//     (GET /debug/trace), built on internal/trace's record format;
 //   - a Streamer: a periodic sampler retaining a bounded ring of
 //     per-interval delta snapshots per vdisk, served as a JSON time series
 //     (GET /disks/{vm}/{disk}/series) and as a live SSE feed (GET /watch).
@@ -37,14 +44,26 @@ type DiskStatsSource interface {
 	DiskCounters(vm, disk string) (issued, completed, errored uint64, inflight int64, ok bool)
 }
 
-// jsonError writes a JSON error body ({"error": msg}) with the given
-// status, setting the Allow header when allowed methods are supplied —
-// the same error contract as internal/httpstats.
-func jsonError(w http.ResponseWriter, code int, msg string, allow ...string) {
+// JSONError writes a JSON error body ({"error": msg}) with the given
+// status and Content-Type: application/json, setting the Allow header
+// when allowed methods are supplied (every 405 should). It is the one
+// error contract of every HTTP surface in the tree.
+func JSONError(w http.ResponseWriter, code int, msg string, allow ...string) {
 	if len(allow) > 0 {
 		w.Header().Set("Allow", strings.Join(allow, ", "))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+}
+
+// WriteJSON writes v as an indented JSON 200 response, or a JSONError
+// 500 when v does not encode (the encoder writes nothing on failure).
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		JSONError(w, http.StatusInternalServerError, err.Error())
+	}
 }

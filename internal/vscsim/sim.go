@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -444,22 +445,26 @@ func (s *Sim) Stats() SimStats {
 	return st
 }
 
-// SimWorld implements telemetry.SimSource, exposing the world's size and
-// pacing as vscsistats_vscsim_* series.
-func (s *Sim) SimWorld() telemetry.SimWorld {
+// WriteMetrics implements telemetry.MetricsWriter: the
+// vscsistats_vscsim_* series. Inventory size, virtual/wall pacing,
+// simulated command totals and agent push health.
+func (s *Sim) WriteMetrics(p *telemetry.PromWriter) {
 	st := s.Stats()
-	return telemetry.SimWorld{
-		Hosts:          st.Hosts,
-		VMs:            st.VMs,
-		Disks:          st.Disks,
-		VirtualSeconds: st.Virtual.Seconds(),
-		WallSeconds:    st.Wall.Seconds(),
-		Speed:          st.Speed,
-		Ops:            st.Ops,
-		Bytes:          st.Bytes,
-		Errors:         st.Errors,
-		Throttled:      st.Throttled,
-		Pushes:         st.Agent.Pushes,
-		PushErrors:     st.Agent.Errors,
+	count := func(v int64) string { return strconv.FormatInt(v, 10) }
+	for _, m := range []struct{ name, typ, help, value string }{
+		{"vscsistats_vscsim_hosts", "gauge", "Simulated hosts in the inventory.", strconv.Itoa(st.Hosts)},
+		{"vscsistats_vscsim_vms", "gauge", "Simulated VMs in the inventory.", strconv.Itoa(st.VMs)},
+		{"vscsistats_vscsim_disks", "gauge", "Simulated virtual disks in the inventory.", strconv.Itoa(st.Disks)},
+		{"vscsistats_vscsim_virtual_seconds", "gauge", "Fleet-wide virtual horizon (the slowest host's clock).", telemetry.FormatFloat(st.Virtual.Seconds())},
+		{"vscsistats_vscsim_wall_seconds", "gauge", "Wall time spent in wall-paced execution.", telemetry.FormatFloat(st.Wall.Seconds())},
+		{"vscsistats_vscsim_speed", "gauge", "Achieved pacing multiplier: virtual seconds per wall second.", telemetry.FormatFloat(st.Speed)},
+		{"vscsistats_vscsim_ops_total", "counter", "Completed simulated guest commands.", count(st.Ops)},
+		{"vscsistats_vscsim_bytes_total", "counter", "Bytes moved by completed simulated commands.", count(st.Bytes)},
+		{"vscsistats_vscsim_errors_total", "counter", "Simulated commands completed with a status other than GOOD.", count(st.Errors)},
+		{"vscsistats_vscsim_throttled_total", "counter", "Arrivals skipped at a generator's outstanding-I/O cap.", count(st.Throttled)},
+		{"vscsistats_vscsim_pushes_total", "counter", "Batches the simulated hosts' agents delivered.", count(st.Agent.Pushes)},
+		{"vscsistats_vscsim_push_errors_total", "counter", "Failed delivery attempts across the simulated agents.", count(st.Agent.Errors)},
+	} {
+		p.Metric(m.name, m.typ, m.help, "", m.value)
 	}
 }

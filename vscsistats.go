@@ -385,9 +385,12 @@ func NewStatsHandler(reg *Registry) http.Handler { return httpstats.New(reg) }
 // Chrome trace JSON export (GET /debug/trace); SnapshotStreamer samples
 // the registry on an interval and serves per-disk time series plus a live
 // SSE feed (GET /watch). SelfSnapshot is a collector's self-telemetry:
-// the live version of Table 2's overhead measurement.
+// the live version of Table 2's overhead measurement. A MetricsWriter is
+// any subsystem that renders its own families on the exporter's scrape
+// (FleetAggregator, FleetReExporter, FleetObsTracker, DatacenterSim).
 type (
 	MetricsExporter  = telemetry.Exporter
+	MetricsWriter    = telemetry.MetricsWriter
 	LifecycleTracer  = telemetry.LifecycleTracer
 	SnapshotStreamer = telemetry.Streamer
 	SelfSnapshot     = core.SelfSnapshot
@@ -396,7 +399,8 @@ type (
 )
 
 // NewMetricsExporter builds a Prometheus exporter over a registry. Chain
-// .WithDiskStats(host or parallel sim) to add vSCSI-layer disk counters.
+// .WithDiskStats(host or parallel sim) to add vSCSI-layer disk counters
+// and .With(writer) for each subsystem's series, emitted in attach order.
 func NewMetricsExporter(reg *Registry) *MetricsExporter { return telemetry.NewExporter(reg) }
 
 // NewLifecycleTracer builds a ring tracer retaining the last capacity
@@ -465,7 +469,7 @@ func NewFleetAgent(reg *Registry, cfg FleetAgentConfig) *FleetAgent {
 }
 
 // NewFleetAggregator builds a memory-only fleet aggregator; mount it via
-// StatsOptions.Fleet and chain MetricsExporter.WithFleet for the merged
+// StatsOptions.Fleet and chain MetricsExporter.With for the merged
 // fleet_* Prometheus series.
 func NewFleetAggregator(cfg FleetAggregatorConfig) *FleetAggregator {
 	return fleet.NewAggregator(cfg)
@@ -497,8 +501,8 @@ type (
 
 // NewFleetReExporter wraps the aggregator with an upstream re-export
 // loop; Start launches it, ReExportNow flushes synchronously, Stop ends
-// it with one final flush. Chain MetricsExporter.WithFleetReExport for
-// the vscsistats_fleet_tier_reexport_* series.
+// it with one final flush. Chain MetricsExporter.With for the
+// vscsistats_fleet_tier_reexport_* series.
 func NewFleetReExporter(agg *FleetAggregator, cfg FleetReExporterConfig) *FleetReExporter {
 	return fleet.NewReExporter(agg, cfg)
 }
@@ -529,7 +533,7 @@ type (
 // structural events (rotations, resyncs with cause, torn tails,
 // compactions), and a top-K slowest-operations ring. Hand one to
 // FleetAgentConfig.Obs or FleetAggregatorConfig.Obs, chain
-// MetricsExporter.WithFleetObs for the vscsistats_fleetobs_* series,
+// MetricsExporter.With for the vscsistats_fleetobs_* series,
 // and mount ChromeTraceHandler at StatsOptions.FleetTrace. A nil
 // tracker is fully inert.
 type (
