@@ -31,12 +31,18 @@
 // BenchmarkFleetReplay1024 and BenchmarkFleetTreeIngest10k with -fleet)
 // and fails (exit 1) if any regressed more than -tolerance percent over
 // the entry named by -against, so CI catches regressions without
-// re-running the full suite. Relative fences measure both sides fresh in
-// the same session so machine speed cancels out: streaming trace replay
-// must stay at or below half the legacy materialize-and-sort cost
-// (maxPct -50, i.e. the >=2x speedup claim), and with -fleet the
-// traced-ingest variant (BenchmarkFleetIngest1024Traced) must cost no
-// more than 5% over the untraced fence.
+// re-running the full suite. An absolute fence only compares numbers from
+// the same kind of machine: when the entry's fingerprint (CPU count,
+// GOMAXPROCS, CPU model, Go version) differs from this one, it prints SKIP
+// with both fingerprints instead. Fences look results up by the bare
+// benchmark name, so the "-N" suffix go test adds when GOMAXPROCS > 1
+// does not hide them. Relative fences measure both sides fresh in the
+// same session so machine speed cancels out, and always run: streaming
+// trace replay must stay at or below half the legacy materialize-and-sort
+// cost (maxPct -50, i.e. the >=2x speedup claim), the one-pass MSR CSV
+// parser at or below 0.8x the field-splitting reference (maxPct -20), and
+// with -fleet the traced-ingest variant (BenchmarkFleetIngest1024Traced)
+// must cost no more than 5% over the untraced fence.
 package main
 
 import (
@@ -45,6 +51,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -66,6 +73,7 @@ type benchEntry struct {
 	GoVersion  string             `json:"go,omitempty"`
 	GOMAXPROCS int                `json:"gomaxprocs"`
 	NumCPU     int                `json:"num_cpu"`
+	CPUModel   string             `json:"cpu_model,omitempty"`
 	Count      int                `json:"count"`
 	NsPerOp    map[string]float64 `json:"ns_per_op"`
 	// Metrics holds any secondary per-op metrics the benchmarks reported,
@@ -86,8 +94,9 @@ var suite = []benchSpec{
 	{".", "Table2Stats|MultiVMParallel", nil},
 	{"./internal/histogram", "^BenchmarkInsert$|^BenchmarkInsertParallel$", []string{"-cpu", "1,4"}},
 	{"./internal/fleet", "^BenchmarkFleetMerge$", nil},
-	{"./internal/trace", "^BenchmarkTraceReplay(Legacy1M|1MMerged)$", nil},
-	{"./internal/trace", "^BenchmarkTraceReplay1M(Parallel)?$", []string{"-cpu", "1,4"}},
+	{"./internal/trace", "^BenchmarkTraceReplay(Legacy1M|1M|1MMerged)$", nil},
+	{"./internal/trace", "^BenchmarkTraceReplay1MParallel$", []string{"-cpu", "1,4"}},
+	{"./internal/trace", "^BenchmarkMSRSource(Reference)?1M$", nil},
 }
 
 // fleetSuite lists the fleet-tier benchmarks -fleet runs. The Mono
@@ -117,11 +126,13 @@ func main() {
 	flag.Parse()
 
 	// Two fast-path fences: the observation hot path, and the streaming
-	// trace-replay engine (absolute, against the recorded entry). Plus one
-	// relative fence: streaming replay must stay at or below half the
-	// legacy materialize-and-sort cost — a negative maxPct, meaning the
-	// claimed >=2x single-core speedup is re-proven on every -check, with
-	// both sides measured fresh so machine speed cancels out.
+	// trace-replay engine (absolute, against the recorded entry). Plus two
+	// relative fences, both sides measured fresh so machine speed cancels
+	// out: streaming replay must stay at or below half the legacy
+	// materialize-and-sort cost — a negative maxPct, meaning the claimed
+	// >=2x single-core speedup is re-proven on every -check — and the
+	// one-pass MSR CSV parser at or below 0.8x the field-splitting
+	// reference it replaced.
 	benches := suite
 	fences := []fence{
 		{"BenchmarkTable2StatsOn", "."},
@@ -132,6 +143,11 @@ func main() {
 		against: "BenchmarkTraceReplayLegacy1M",
 		pkg:     "./internal/trace",
 		maxPct:  -50,
+	}, {
+		bench:   "BenchmarkMSRSource1M",
+		against: "BenchmarkMSRSourceReference1M",
+		pkg:     "./internal/trace",
+		maxPct:  -20,
 	}}
 	if *fleet {
 		// Three fleet fences: the ingest fast path, the boot replay the
@@ -176,12 +192,14 @@ func main() {
 		return
 	}
 	ns, metrics := splitResults(results)
+	here := hostFingerprint()
 	entry := benchEntry{
 		Label:      *label,
 		Date:       time.Now().UTC().Format("2006-01-02"),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
+		GoVersion:  here.GoVersion,
+		GOMAXPROCS: here.GOMAXPROCS,
+		NumCPU:     here.NumCPU,
+		CPUModel:   here.CPUModel,
 		Count:      *count,
 		NsPerOp:    ns,
 		Metrics:    metrics,
@@ -341,12 +359,76 @@ type fence struct {
 
 // relFence is a same-session comparison: bench must run within maxPct of
 // against, both measured fresh in this runCheck — no recorded entry, so
-// machine-speed differences cancel out. Used for the traced-ingest
-// observability overhead bound. Both benchmarks must live in pkg.
+// machine-speed differences cancel out: an overhead bound (traced ingest)
+// or a speedup claim (a negative maxPct). Both benchmarks must live in pkg.
 type relFence struct {
 	bench, against string
 	pkg            string
 	maxPct         float64
+}
+
+// fingerprint identifies the kind of machine a measurement came from.
+// Absolute nanoseconds compare only between equal fingerprints.
+type fingerprint struct {
+	NumCPU     int
+	GOMAXPROCS int
+	CPUModel   string
+	GoVersion  string
+}
+
+func (f fingerprint) String() string {
+	return fmt.Sprintf("%d CPU, GOMAXPROCS %d, %q, %s", f.NumCPU, f.GOMAXPROCS, f.CPUModel, f.GoVersion)
+}
+
+func (e *benchEntry) fingerprint() fingerprint {
+	return fingerprint{e.NumCPU, e.GOMAXPROCS, e.CPUModel, e.GoVersion}
+}
+
+// hostFingerprint describes this process's machine. The benchmarks run in
+// `go test` children that inherit its CPU set and GOMAXPROCS environment.
+func hostFingerprint() fingerprint {
+	return fingerprint{runtime.NumCPU(), runtime.GOMAXPROCS(0), cpuModel(), runtime.Version()}
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or "" where
+// there is none.
+func cpuModel() string {
+	raw, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
+}
+
+// bareName strips the "-N" suffix go test appends to a benchmark name when
+// it runs at GOMAXPROCS N > 1.
+func bareName(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
+// recordedNs returns the entry's ns/op for the bare benchmark name, as go
+// test printed it at the entry's GOMAXPROCS.
+func (e *benchEntry) recordedNs(bare string) (float64, bool) {
+	name := bare
+	if e.GOMAXPROCS > 1 {
+		name += "-" + strconv.Itoa(e.GOMAXPROCS)
+	}
+	v, ok := e.NsPerOp[name]
+	return v, ok
 }
 
 // runCheck is the CI fence: measure the fence benchmarks fresh (one
@@ -364,19 +446,15 @@ func runCheck(path, against string, fences []fence, relFences []relFence, count 
 		fmt.Fprintf(os.Stderr, "benchfastpath: %s: %v\n", path, err)
 		return 1
 	}
-	refs := make(map[string]float64, len(fences))
-	for _, e := range f.Entries {
-		if e.Label == against {
-			for _, fc := range fences {
-				refs[fc.name] = e.NsPerOp[fc.name]
-			}
+	var entry *benchEntry
+	for i := range f.Entries {
+		if f.Entries[i].Label == against {
+			entry = &f.Entries[i]
 		}
 	}
-	for _, fc := range fences {
-		if refs[fc.name] == 0 {
-			fmt.Fprintf(os.Stderr, "benchfastpath: no %s under entry %q in %s\n", fc.name, against, path)
-			return 1
-		}
+	if entry == nil {
+		fmt.Fprintf(os.Stderr, "benchfastpath: no entry %q in %s\n", against, path)
+		return 1
 	}
 	// One `go test -bench` per package, covering that package's fences
 	// and relative-fence benchmarks together.
@@ -407,43 +485,66 @@ func runCheck(path, against string, fences []fence, relFences []relFence, count 
 			return 1
 		}
 	}
-	failed := 0
-	for _, fc := range fences {
-		got, ok := results[fc.name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchfastpath: %s produced no result\n", fc.name)
-			return 1
-		}
-		ref := refs[fc.name]
-		limit := ref * (1 + tolerance/100)
-		fmt.Printf("%s: %.2f ns/op, %s %q: %.2f ns/op, limit %+.0f%%: %.2f ns/op\n",
-			strings.TrimPrefix(fc.name, "Benchmark"), got, path, against, ref, tolerance, limit)
-		if got > limit {
-			fmt.Printf("FAIL: %s regressed %.1f%% over %q\n", strings.TrimPrefix(fc.name, "Benchmark"), (got/ref-1)*100, against)
-			failed++
-		}
-	}
-	for _, r := range relFences {
-		got, ok := results[r.bench]
-		base, okBase := results[r.against]
-		if !ok || !okBase {
-			fmt.Fprintf(os.Stderr, "benchfastpath: relative fence %s vs %s missing a result\n", r.bench, r.against)
-			return 1
-		}
-		limit := base * (1 + r.maxPct/100)
-		fmt.Printf("%s: %.2f ns/op, in-session %s: %.2f ns/op, limit %+.0f%%: %.2f ns/op\n",
-			strings.TrimPrefix(r.bench, "Benchmark"), got,
-			strings.TrimPrefix(r.against, "Benchmark"), base, r.maxPct, limit)
-		if got > limit {
-			fmt.Printf("FAIL: %s costs %.1f%% over %s\n",
-				strings.TrimPrefix(r.bench, "Benchmark"), (got/base-1)*100,
-				strings.TrimPrefix(r.against, "Benchmark"))
-			failed++
-		}
+	failed, err := evalFences(os.Stdout, path, entry, hostFingerprint(), results, fences, relFences, tolerance)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 	if failed > 0 {
 		return 1
 	}
 	fmt.Println("OK")
 	return 0
+}
+
+// evalFences judges fresh results (keyed as go test printed them) against
+// the recorded entry and the in-session references, writing one line per
+// fence. It returns how many fences failed; an error means a fence had
+// nothing to compare.
+func evalFences(w io.Writer, path string, entry *benchEntry, here fingerprint, results map[string]float64,
+	fences []fence, relFences []relFence, tolerance float64) (int, error) {
+	bare := make(map[string]float64, len(results))
+	for k, v := range results {
+		bare[bareName(k)] = v
+	}
+	failed := 0
+	for _, fc := range fences {
+		short := strings.TrimPrefix(fc.name, "Benchmark")
+		got, ok := bare[fc.name]
+		if !ok {
+			return failed, fmt.Errorf("benchfastpath: %s produced no result", fc.name)
+		}
+		if there := entry.fingerprint(); there != here {
+			fmt.Fprintf(w, "SKIP: %s: %.2f ns/op here (%s); %s %q was recorded on %s\n",
+				short, got, here, path, entry.Label, there)
+			continue
+		}
+		ref, ok := entry.recordedNs(fc.name)
+		if !ok || ref == 0 {
+			return failed, fmt.Errorf("benchfastpath: no %s under entry %q in %s", fc.name, entry.Label, path)
+		}
+		limit := ref * (1 + tolerance/100)
+		fmt.Fprintf(w, "%s: %.2f ns/op, %s %q: %.2f ns/op, limit %+.0f%%: %.2f ns/op\n",
+			short, got, path, entry.Label, ref, tolerance, limit)
+		if got > limit {
+			fmt.Fprintf(w, "FAIL: %s regressed %.1f%% over %q\n", short, (got/ref-1)*100, entry.Label)
+			failed++
+		}
+	}
+	for _, r := range relFences {
+		got, ok := bare[r.bench]
+		base, okBase := bare[r.against]
+		if !ok || !okBase {
+			return failed, fmt.Errorf("benchfastpath: relative fence %s vs %s missing a result", r.bench, r.against)
+		}
+		short, shortAgainst := strings.TrimPrefix(r.bench, "Benchmark"), strings.TrimPrefix(r.against, "Benchmark")
+		limit := base * (1 + r.maxPct/100)
+		fmt.Fprintf(w, "%s: %.2f ns/op, in-session %s: %.2f ns/op, limit %+.0f%%: %.2f ns/op\n",
+			short, got, shortAgainst, base, r.maxPct, limit)
+		if got > limit {
+			fmt.Fprintf(w, "FAIL: %s costs %.1f%% over %s\n", short, (got/base-1)*100, shortAgainst)
+			failed++
+		}
+	}
+	return failed, nil
 }

@@ -151,3 +151,170 @@ func TestOnIssueBatchConcurrent(t *testing.T) {
 		t.Fatalf("ioLength total %d != commands %d", got, s.Commands)
 	}
 }
+
+// TestOnCompleteBatchMatchesSequential pins the batched completion path to
+// OnComplete: latency bins and the error count are identical.
+func TestOnCompleteBatchMatchesSequential(t *testing.T) {
+	seq := NewCollector("vm", "d")
+	bat := NewCollector("vm", "d")
+	seq.Enable()
+	bat.Enable()
+	rng := rand.New(rand.NewSource(11))
+	for burst := 0; burst < 50; burst++ {
+		rs := randomBurst(rng, 0, 1+rng.Intn(100))
+		for _, r := range rs {
+			r.CompleteTime = simclock.Time(rng.Intn(200000)) * simclock.Microsecond
+			if rng.Intn(20) == 0 {
+				r.Status = scsi.StatusCheckCondition
+			}
+			seq.OnComplete(r)
+		}
+		bat.OnCompleteBatch(rs)
+	}
+	requireSameState(t, seq.Snapshot(), bat.Snapshot())
+	if s, b := seq.SelfStats().Observations, bat.SelfStats().Observations; s != b {
+		t.Fatalf("observations: sequential %d, batched %d", s, b)
+	}
+}
+
+// requireSameState requires identical counters and identical histograms
+// (bins, total, sum, min, max) for every metric and class.
+func requireSameState(t *testing.T, want, got *Snapshot) {
+	t.Helper()
+	if want.Commands != got.Commands || want.NumReads != got.NumReads ||
+		want.NumWrites != got.NumWrites || want.ReadBytes != got.ReadBytes ||
+		want.WriteBytes != got.WriteBytes || want.Errors != got.Errors {
+		t.Fatalf("counters differ:\nwant %+v\ngot  %+v", want, got)
+	}
+	for _, m := range Metrics() {
+		for _, cl := range []Class{All, Reads, Writes} {
+			w, g := want.Histogram(m, cl), got.Histogram(m, cl)
+			if w.Total != g.Total || w.Sum != g.Sum || w.Min != g.Min || w.Max != g.Max {
+				t.Errorf("%s/%s: total/sum/min/max %d/%d/%d/%d, want %d/%d/%d/%d",
+					m, cl, g.Total, g.Sum, g.Min, g.Max, w.Total, w.Sum, w.Min, w.Max)
+			}
+			for i := range w.Counts {
+				if w.Counts[i] != g.Counts[i] {
+					t.Errorf("%s/%s bin %d: %d, want %d", m, cl, i, g.Counts[i], w.Counts[i])
+				}
+			}
+		}
+	}
+}
+
+// TestBatchStagingConcurrentMonotone runs concurrent OnIssueBatch and
+// OnCompleteBatch bursts on one collector while another goroutine
+// snapshots it. Every snapshot must have Total == Σbins in every
+// histogram, no bin may ever shrink between snapshots, and the final state
+// must equal a sequential per-command replay of the same bursts.
+//
+// The bursts are built so their samples do not depend on the order in
+// which the issuers interleave: each burst has a varied prefix and ends
+// with the same window-long suffix, and the collector is primed with that
+// suffix, so every burst starts from the same stream state.
+func TestBatchStagingConcurrentMonotone(t *testing.T) {
+	const issuers, perIssuer = 4, 60
+	rng := rand.New(rand.NewSource(5))
+	mk := func(at simclock.Time, lba uint64, write bool, oio int) *vscsi.Request {
+		cmd := scsi.Read(lba, uint32(8*(1+rng.Intn(64))))
+		if write {
+			cmd = scsi.Write(lba, cmd.Blocks)
+		}
+		r := &vscsi.Request{Cmd: cmd, IssueTime: at, OutstandingAtIssue: oio,
+			CompleteTime: at + simclock.Time(rng.Intn(300000))*simclock.Microsecond}
+		if rng.Intn(25) == 0 {
+			r.Status = scsi.StatusCheckCondition
+		}
+		return r
+	}
+	suffix := make([]*vscsi.Request, DefaultWindow)
+	for i := range suffix {
+		suffix[i] = mk(simclock.Time(1000+i)*simclock.Millisecond, uint64(i)*4096, i%3 == 0, i)
+	}
+	bursts := make([][]*vscsi.Request, issuers*perIssuer)
+	for b := range bursts {
+		n := rng.Intn(80)
+		burst := make([]*vscsi.Request, 0, n+len(suffix))
+		for i := 0; i < n; i++ {
+			at := simclock.Time(rng.Intn(2000000)) * simclock.Microsecond
+			burst = append(burst, mk(at, uint64(rng.Intn(1<<24)), rng.Intn(3) == 0, rng.Intn(80)))
+		}
+		if rng.Intn(10) == 0 {
+			burst = append(burst, &vscsi.Request{Cmd: scsi.Command{Op: scsi.OpTestUnitReady}})
+		}
+		bursts[b] = append(burst, suffix...)
+	}
+
+	seq := NewCollector("vm", "d")
+	seq.Enable()
+	for _, r := range suffix {
+		seq.OnIssue(r)
+	}
+	for _, burst := range bursts {
+		for _, r := range burst {
+			seq.OnIssue(r)
+		}
+		for _, r := range burst {
+			seq.OnComplete(r)
+		}
+	}
+
+	c := NewCollector("vm", "d")
+	c.Enable()
+	c.OnIssueBatch(suffix)
+	var wg sync.WaitGroup
+	for g := 0; g < issuers; g++ {
+		wg.Add(1)
+		go func(mine [][]*vscsi.Request) {
+			defer wg.Done()
+			for _, burst := range mine {
+				c.OnIssueBatch(burst)
+				c.OnCompleteBatch(burst)
+			}
+		}(bursts[g*perIssuer : (g+1)*perIssuer])
+	}
+	stop := make(chan struct{})
+	checked := make(chan int)
+	go func() {
+		var prev *Snapshot
+		n := 0
+		defer func() { checked <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := c.Snapshot()
+			for _, m := range Metrics() {
+				for _, cl := range []Class{All, Reads, Writes} {
+					h := s.Histogram(m, cl)
+					var sum int64
+					for i, v := range h.Counts {
+						sum += v
+						if prev != nil && v < prev.Histogram(m, cl).Counts[i] {
+							t.Errorf("snapshot %d: %s/%s bin %d went back from %d to %d",
+								n, m, cl, i, prev.Histogram(m, cl).Counts[i], v)
+							return
+						}
+					}
+					if h.Total != sum {
+						t.Errorf("snapshot %d: %s/%s total %d != bin sum %d", n, m, cl, h.Total, sum)
+						return
+					}
+				}
+			}
+			prev = s
+			n++
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if n := <-checked; n == 0 {
+		t.Fatal("no snapshot taken while bursts ran")
+	}
+	requireSameState(t, seq.Snapshot(), c.Snapshot())
+	if s, b := seq.SelfStats().Observations, c.SelfStats().Observations; s != b {
+		t.Fatalf("observations: sequential %d, batched %d", s, b)
+	}
+}

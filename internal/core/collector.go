@@ -292,43 +292,74 @@ func (c *Collector) OnIssue(r *vscsi.Request) {
 	}
 }
 
-// batchStack is the burst size OnIssueBatch handles without heap
-// allocation; larger bursts spill to a heap buffer.
-const batchStack = 64
+// burstStage is one burst's staging area: a histogram.Stage per workload
+// histogram. Bursts take one from burstStages, stage every sample in plain
+// memory, publish, and return it, so concurrent bursts on one collector
+// never share staging memory and a collector carries none of its own.
+type burstStage struct {
+	ioLength, seekDistance, outstanding, latency, interarrival [3]histogram.Stage
+	seekWindowed                                               histogram.Stage
+}
 
-// streamSample is one command's stream-correlated samples, computed under
-// the stream mutex and inserted after release.
-type streamSample struct {
-	seek, wseek, inter             int64
-	haveSeek, haveWseek, haveInter bool
-	class                          int
+var burstStages = sync.Pool{New: func() any { return new(burstStage) }}
+
+// beginIssue binds the issue-side stages to h's histograms.
+func (b *burstStage) beginIssue(h *histSet) {
+	for class := range b.ioLength {
+		b.ioLength[class].Begin(h.ioLength[class])
+		b.seekDistance[class].Begin(h.seekDistance[class])
+		b.outstanding[class].Begin(h.outstanding[class])
+		b.interarrival[class].Begin(h.interarrival[class])
+	}
+	b.seekWindowed.Begin(h.seekWindowed)
+}
+
+// publishIssue publishes the issue-side stages.
+func (b *burstStage) publishIssue() {
+	for class := range b.ioLength {
+		b.ioLength[class].Publish()
+		b.seekDistance[class].Publish()
+		b.outstanding[class].Publish()
+		b.interarrival[class].Publish()
+	}
+	b.seekWindowed.Publish()
+}
+
+// burstSampled reports whether a burst that raised the observation count
+// to obs by n crossed a 1-in-64 boundary. Such a burst is timed and records
+// its mean cost per command — the same sampling rate as the per-command
+// path.
+func burstSampled(obs, n int64) bool { return obs>>6 != (obs-n)>>6 }
+
+// countBlockIO returns how many of rs are block I/O.
+func countBlockIO(rs []*vscsi.Request) int64 {
+	var n int64
+	for _, r := range rs {
+		if r.Cmd.Op.IsBlockIO() {
+			n++
+		}
+	}
+	return n
 }
 
 // OnIssueBatch records the arrival-side metrics for a burst of commands
 // issued at one instant (vscsi.BatchObserver). It is sample-for-sample
 // equivalent to calling OnIssue once per request in order — the property
 // the bit-exactness tests pin — but amortizes the per-command overheads
-// across the burst: the counters become one atomic add per counter, the
-// observer dispatch is one call, and the stream mutex (the fast path's only
-// blocking point) is taken once instead of once per command.
+// across the burst: samples are staged in plain memory and published with
+// one atomic add per touched bin (histogram.Stage), the counters become
+// one atomic add per counter, the observer dispatch is one call, and the
+// stream mutex (the fast path's only blocking point) is taken once instead
+// of once per command.
 func (c *Collector) OnIssueBatch(rs []*vscsi.Request) {
 	if !c.enabled.Load() {
 		return
 	}
-	var nBlock int64
-	for _, r := range rs {
-		if r.Cmd.Op.IsBlockIO() {
-			nBlock++
-		}
-	}
+	nBlock := countBlockIO(rs)
 	if nBlock == 0 {
 		return
 	}
-	obs := c.self.observations.Add(nBlock)
-	// Time the burst when it crosses a 1-in-64 observation boundary,
-	// recording the burst's mean cost per command — the same sampling
-	// rate as the per-command path.
-	sampled := obs>>6 != (obs-nBlock)>>6
+	sampled := burstSampled(c.self.observations.Add(nBlock), nBlock)
 	var t0 time.Time
 	if sampled {
 		t0 = time.Now()
@@ -338,48 +369,32 @@ func (c *Collector) OnIssueBatch(rs []*vscsi.Request) {
 		c.self.dropped.Add(nBlock)
 		return
 	}
+	st := burstStages.Get().(*burstStage)
+	st.beginIssue(h)
 
-	var commands, reads, writes, readBytes, writeBytes int64
+	var reads, writes, readBytes, writeBytes int64
 	for _, r := range rs {
 		cmd := r.Cmd
 		if !cmd.Op.IsBlockIO() {
 			continue
 		}
+		n := cmd.Bytes()
 		class := classRead
 		if cmd.Op.IsWrite() {
 			class = classWrite
-		}
-		commands++
-		if class == classRead {
-			reads++
-			readBytes += cmd.Bytes()
-		} else {
 			writes++
-			writeBytes += cmd.Bytes()
+			writeBytes += n
+		} else {
+			reads++
+			readBytes += n
 		}
-		h.ioLength[classAll].Insert(cmd.Bytes())
-		h.ioLength[class].Insert(cmd.Bytes())
+		st.ioLength[classAll].AddAt(st.ioLength[class].Add(n), n)
 		oio := int64(r.OutstandingAtIssue)
-		h.outstanding[classAll].Insert(oio)
-		h.outstanding[class].Insert(oio)
-	}
-	h.commands.Add(commands)
-	if reads > 0 {
-		h.reads.Add(reads)
-		h.readBytes.Add(readBytes)
-	}
-	if writes > 0 {
-		h.writes.Add(writes)
-		h.writeBytes.Add(writeBytes)
+		st.outstanding[classAll].AddAt(st.outstanding[class].Add(oio), oio)
 	}
 
-	// One critical section for the whole burst: compute every command's
-	// stream-correlated samples in issue order, then insert after release.
-	var buf [batchStack]streamSample
-	samples := buf[:0]
-	if nBlock > batchStack {
-		samples = make([]streamSample, 0, nBlock)
-	}
+	// One critical section for the whole burst: walk the commands in issue
+	// order, advancing the stream state and staging each derived sample.
 	if !h.streamMu.TryLock() {
 		c.self.contended.Add(1)
 		h.streamMu.Lock()
@@ -389,56 +404,101 @@ func (c *Collector) OnIssueBatch(rs []*vscsi.Request) {
 		if !cmd.Op.IsBlockIO() {
 			continue
 		}
-		var s streamSample
-		s.class = classRead
+		class := classRead
 		if cmd.Op.IsWrite() {
-			s.class = classWrite
+			class = classWrite
 		}
 		if h.haveLast {
-			s.haveSeek = true
-			s.seek = int64(cmd.LBA) - int64(h.lastEnd)
+			seek := int64(cmd.LBA) - int64(h.lastEnd)
+			st.seekDistance[classAll].AddAt(st.seekDistance[class].Add(seek), seek)
 		}
 		if h.recentLen > 0 {
-			s.haveWseek = true
-			for i := 0; i < h.recentLen; i++ {
-				d := int64(cmd.LBA) - int64(h.recent[i])
-				if i == 0 || abs64(d) < abs64(s.wseek) {
-					s.wseek = d
-				}
-			}
+			st.seekWindowed.Add(nearest(int64(cmd.LBA), h.recent[:h.recentLen]))
 		}
 		h.lastEnd = cmd.LastLBA()
 		h.haveLast = true
 		h.recent[h.recentPos] = cmd.LastLBA()
-		h.recentPos = (h.recentPos + 1) % len(h.recent)
+		if h.recentPos++; h.recentPos == len(h.recent) {
+			h.recentPos = 0
+		}
 		if h.recentLen < len(h.recent) {
 			h.recentLen++
 		}
 		if h.haveArrival {
-			s.haveInter = true
-			s.inter = (r.IssueTime - h.lastArrival).Micros()
+			inter := (r.IssueTime - h.lastArrival).Micros()
+			st.interarrival[classAll].AddAt(st.interarrival[class].Add(inter), inter)
 		}
 		h.lastArrival = r.IssueTime
 		h.haveArrival = true
-		samples = append(samples, s)
 	}
 	h.streamMu.Unlock()
 
-	for i := range samples {
-		s := &samples[i]
-		if s.haveSeek {
-			h.seekDistance[classAll].Insert(s.seek)
-			h.seekDistance[s.class].Insert(s.seek)
-		}
-		if s.haveWseek {
-			h.seekWindowed.Insert(s.wseek)
-		}
-		if s.haveInter {
-			h.interarrival[classAll].Insert(s.inter)
-			h.interarrival[s.class].Insert(s.inter)
-		}
+	st.publishIssue()
+	burstStages.Put(st)
+	h.commands.Add(nBlock)
+	if reads > 0 {
+		h.reads.Add(reads)
+		h.readBytes.Add(readBytes)
+	}
+	if writes > 0 {
+		h.writes.Add(writes)
+		h.writeBytes.Add(writeBytes)
 	}
 
+	if sampled {
+		c.self.observeNs.Insert(time.Since(t0).Nanoseconds() / nBlock)
+	}
+}
+
+// OnCompleteBatch records device latency and error counts for a burst of
+// completions. It is sample-for-sample equivalent to calling OnComplete
+// once per request, with the latency samples staged and published like
+// OnIssueBatch's.
+func (c *Collector) OnCompleteBatch(rs []*vscsi.Request) {
+	if !c.enabled.Load() {
+		return
+	}
+	nBlock := countBlockIO(rs)
+	if nBlock == 0 {
+		return
+	}
+	sampled := burstSampled(c.self.observations.Add(nBlock), nBlock)
+	var t0 time.Time
+	if sampled {
+		t0 = time.Now()
+	}
+	h := c.h.Load()
+	if h == nil {
+		c.self.dropped.Add(nBlock)
+		return
+	}
+	st := burstStages.Get().(*burstStage)
+	for class := range st.latency {
+		st.latency[class].Begin(h.latency[class])
+	}
+	var errs int64
+	for _, r := range rs {
+		if !r.Cmd.Op.IsBlockIO() {
+			continue
+		}
+		if r.Status != scsi.StatusGood {
+			errs++
+			continue
+		}
+		lat := r.Latency().Micros()
+		class := classRead
+		if r.Cmd.Op.IsWrite() {
+			class = classWrite
+		}
+		st.latency[classAll].AddAt(st.latency[class].Add(lat), lat)
+	}
+	for class := range st.latency {
+		st.latency[class].Publish()
+	}
+	burstStages.Put(st)
+	if errs > 0 {
+		h.errors.Add(errs)
+	}
 	if sampled {
 		c.self.observeNs.Insert(time.Since(t0).Nanoseconds() / nBlock)
 	}
@@ -477,6 +537,21 @@ func (c *Collector) OnComplete(r *vscsi.Request) {
 	if sampled {
 		c.self.observeNs.Insert(time.Since(t0).Nanoseconds())
 	}
+}
+
+// nearest returns the signed distance from lba to the closest of recent
+// (non-empty), the earliest entry winning a tie — the windowed seek
+// distance of §3.1, as OnIssue computes it.
+func nearest(lba int64, recent []uint64) int64 {
+	dist := lba - int64(recent[0])
+	best := abs64(dist)
+	for _, end := range recent[1:] {
+		d := lba - int64(end)
+		if a := abs64(d); a < best {
+			dist, best = d, a
+		}
+	}
+	return dist
 }
 
 func abs64(v int64) int64 {

@@ -22,9 +22,8 @@ import (
 //
 // Malformed or hostile lines are skipped and counted, as with MSRSource.
 type AlibabaSource struct {
-	sc     *lineScanner
-	fields [][]byte
-	vms    *interner
+	sc  *lineScanner
+	vms *interner
 
 	base     uint64 // first timestamp, µs
 	haveBase bool
@@ -35,9 +34,8 @@ type AlibabaSource struct {
 // NewAlibabaSource streams Alibaba cloud-trace CSV from br.
 func NewAlibabaSource(br *bufio.Reader) *AlibabaSource {
 	return &AlibabaSource{
-		sc:     newLineScanner(br),
-		fields: make([][]byte, 0, csvMaxFields),
-		vms:    newInterner(),
+		sc:  newLineScanner(br),
+		vms: newInterner(),
 	}
 }
 
@@ -62,28 +60,33 @@ func (s *AlibabaSource) Next(rec *Record) error {
 }
 
 func (s *AlibabaSource) parseLine(line []byte, rec *Record) bool {
-	s.fields = splitComma(line, s.fields)
-	if len(s.fields) < 5 || len(s.fields[0]) == 0 {
+	c := csvCursor{line: line}
+	dev, ok := c.field()
+	if !ok || len(dev) == 0 {
+		return false
+	}
+	typ, ok := c.field()
+	if !ok {
 		return false
 	}
 	var op scsi.OpCode
 	switch {
-	case eqFoldBytes(s.fields[1], "R"):
+	case eqFoldBytes(typ, "R"):
 		op = scsi.OpRead16
-	case eqFoldBytes(s.fields[1], "W"):
+	case eqFoldBytes(typ, "W"):
 		op = scsi.OpWrite16
 	default:
 		return false
 	}
-	offset, ok := parseU64(s.fields[2])
+	offset, ok := c.u64()
 	if !ok {
 		return false
 	}
-	length, ok := parseU64(s.fields[3])
+	length, ok := c.u64()
 	if !ok {
 		return false
 	}
-	ts, ok := parseScaledU64(s.fields[4], 1)
+	ts, ok := c.decimal()
 	if !ok {
 		return false
 	}
@@ -98,7 +101,7 @@ func (s *AlibabaSource) parseLine(line []byte, rec *Record) bool {
 	s.seq++
 	rec.IssueMicros = int64(ts - s.base)
 	rec.CompleteMicros = rec.IssueMicros
-	rec.VM = s.vms.getPrefixed("dev", s.fields[0])
+	rec.VM = s.vms.getPrefixed("dev", dev)
 	rec.Disk = "blk0"
 	rec.Op = op
 	rec.LBA = offset / 512

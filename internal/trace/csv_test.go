@@ -464,3 +464,112 @@ func TestParseFormatRoundTrip(t *testing.T) {
 		t.Error("unknown format name must error")
 	}
 }
+
+// The per-disk table is bounded like the name interners: past
+// csvMaxInterned distinct (Hostname, DiskNumber) pairs a line naming a new
+// disk is skipped and counted, while known disks keep parsing.
+func TestMSRSourceBoundsDiskTable(t *testing.T) {
+	const extra = 1000
+	var sb strings.Builder
+	for i := 0; i < csvMaxInterned+extra; i++ {
+		sb.WriteString("1000,h")
+		sb.WriteString(uitoa(uint64(i)))
+		sb.WriteString(",0,Read,0,512,10\n")
+	}
+	sb.WriteString("1000,h0,0,Write,0,512,10\n") // a known disk still parses
+	src, recs := msrRecords(t, sb.String())
+	if len(recs) != csvMaxInterned+1 {
+		t.Fatalf("parsed %d records, want %d", len(recs), csvMaxInterned+1)
+	}
+	if src.BadLines() != extra {
+		t.Fatalf("BadLines = %d, want %d", src.BadLines(), extra)
+	}
+	if len(src.disks) != csvMaxInterned {
+		t.Fatalf("disk table holds %d entries, want the cap %d", len(src.disks), csvMaxInterned)
+	}
+	if last := recs[len(recs)-1]; last.VM != "h0" || last.Disk != "disk0" || last.Outstanding != 1 {
+		t.Fatalf("known disk after the cap: %+v", last)
+	}
+}
+
+// sameAsReference drives got and want over the same bytes in lockstep and
+// requires identical records, identical errors and identical BadLines
+// after every call.
+func sameAsReference(t *testing.T, got, want interface {
+	RecordSource
+	BadLines() uint64
+}) {
+	t.Helper()
+	for i := 0; ; i++ {
+		var g, w Record
+		gerr, werr := got.Next(&g), want.Next(&w)
+		if gerr != werr {
+			t.Fatalf("call %d: err %v, reference %v", i, gerr, werr)
+		}
+		if g != w {
+			t.Fatalf("call %d: record\n%+v\nreference\n%+v", i, g, w)
+		}
+		if gb, wb := got.BadLines(), want.BadLines(); gb != wb {
+			t.Fatalf("call %d: BadLines %d, reference %d", i, gb, wb)
+		}
+		if gerr != nil {
+			return
+		}
+	}
+}
+
+// numericEdgeCases are field values on both sides of every numeric rule:
+// uint64 limits, over-long digit runs, fractions, CR leftovers.
+var numericEdgeCases = []string{
+	"18446744073709551615", "18446744073709551616", "99999999999999999999",
+	"00000000000000000001", "123456789012345678901", "000000000000000000000",
+	"1234.", ".5", "1.2.3", "1.5", "7.25", "0", "", "-1", "1e3", "1_000", " 1", "12\r",
+}
+
+func FuzzMSRLineMatchesReference(f *testing.F) {
+	f.Add([]byte(msrSample))
+	f.Add([]byte("1000,host,0,Read,0,512,10\n1000,host,0,Wri"))
+	f.Add([]byte("99999999999999999999999999,h,0,Read,18446744073709551615,18446744073709551615,1\n"))
+	f.Add([]byte("1000,host,0,Read,1.5,2,5,extra,fields,beyond,the,cap,here\n"))
+	f.Add([]byte("1000;host;0;Read;0;512;10\n1000\thost\t0\tRead\t0\t512\t10\n"))
+	f.Add([]byte("1000,host,0,Read,0,512,1,5\r\n\r\n,,,,,,\n"))
+	for _, v := range numericEdgeCases {
+		f.Add([]byte(v + ",h,0,Read,0,512,10\n"))
+		f.Add([]byte("1000,h,0,Write," + v + ",512,10\n"))
+		f.Add([]byte("1000,h,0,Read,0," + v + ",10\n"))
+		f.Add([]byte("1000,h,0,Read,0,512," + v + "\n"))
+	}
+	f.Add([]byte("1000,h,0,Read,0,512,10\r\n1001,h,0,Read,0,512,10\r\n"))
+	f.Add([]byte("1000,h,0,Read,0,512,10"))                      // exactly 7 fields
+	f.Add([]byte("1000,h,0,Read,0,512,10,a,b,c,d,e,f,g,h,i\n"))  // more than 12
+	f.Add([]byte("1000,h,0,Read,0,512,10,,,,,,,,,,,,,,1.2.3\n")) // more than 12, junk tail
+	f.Add([]byte("1000,h,,Read,0,512,10\n1001,h,0,Read,0,512,10\n"))
+	f.Add([]byte("1000,h,0,Read,0,512\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sameAsReference(t,
+			NewMSRSource(bufio.NewReader(bytes.NewReader(data))),
+			newRefMSRSource(bufio.NewReader(bytes.NewReader(data))))
+	})
+}
+
+func FuzzAlibabaLineMatchesReference(f *testing.F) {
+	f.Add([]byte(alibabaSample))
+	f.Add([]byte("64,R,4096,1024,10000"))
+	f.Add([]byte("64,R,4096,1024\n64,W,0,0,0\n64,X,1,1,1\n"))
+	f.Add([]byte("١٢٣,R,0,512,1000\n64,R,0,512,1٫5\n"))
+	f.Add([]byte(",,,,\n0,R,,,-5\n"))
+	for _, v := range numericEdgeCases {
+		f.Add([]byte("64,R," + v + ",512,1000\n"))
+		f.Add([]byte("64,W,0," + v + ",1000\n"))
+		f.Add([]byte("64,R,0,512," + v + "\n"))
+	}
+	f.Add([]byte("64,R,0,512,1000\r\n64,W,0,512,1001\r\n"))
+	f.Add([]byte("64,R,0,512,1000"))                         // exactly 5 fields
+	f.Add([]byte("64,R,0,512,1000,a,b,c,d,e,f,g,h,i,j,k\n")) // more than 12
+	f.Add([]byte("64,R,0,512,1000,,,,,,,,,,,,,,,,1.2.3\n"))  // more than 12, junk tail
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sameAsReference(t,
+			NewAlibabaSource(bufio.NewReader(bytes.NewReader(data))),
+			newRefAlibabaSource(bufio.NewReader(bytes.NewReader(data))))
+	})
+}

@@ -18,12 +18,11 @@ const (
 	csvInitialLine = 4 << 10
 	// csvMaxLine caps per-line memory; longer lines are discarded whole.
 	csvMaxLine = 1 << 20
-	// csvMaxFields caps the fields examined per line. The real formats
-	// have ≤ 7; trailing extras are ignored rather than buffered.
-	csvMaxFields = 12
-	// csvMaxInterned caps the (VM, disk) names remembered per parse, so a
-	// trace with a hostile number of distinct hostnames degrades to
-	// per-record allocation instead of unbounded table growth.
+	// csvMaxInterned caps the names and per-disk entries a parser
+	// remembers, so a trace with a hostile number of distinct hostnames
+	// costs bounded memory: AlibabaSource degrades to per-record name
+	// allocation, MSRSource skips (and counts) lines naming a disk past
+	// the cap, because its per-disk entry carries state.
 	csvMaxInterned = 1 << 16
 )
 
@@ -100,34 +99,96 @@ func trimEOL(b []byte) []byte {
 	return b
 }
 
-// splitComma splits line into at most csvMaxFields comma-separated fields,
-// reusing the caller's slice. Fields alias the line.
-func splitComma(line []byte, fields [][]byte) [][]byte {
-	fields = fields[:0]
-	for len(fields) < csvMaxFields-1 {
-		i := bytes.IndexByte(line, ',')
-		if i < 0 {
-			break
-		}
-		fields = append(fields, line[:i])
-		line = line[i+1:]
-	}
-	return append(fields, line)
+// csvCursor walks one CSV line field by field. The numeric readers find
+// a field's terminating comma and accumulate its digits in the same loop,
+// so a line is scanned once, with no field slices and no second pass per
+// number. Only ASCII digits are accepted — locale variants ("1_000",
+// "1e3", "½") are malformed, full stop. A reader that returns ok=false
+// leaves the cursor undefined: the caller rejects the whole line.
+type csvCursor struct {
+	line []byte
+	pos  int // start of the next field; len(line)+1 once none is left
 }
 
-// parseU64 parses an unsigned decimal integer, rejecting empty input,
-// non-digits and overflow. Unlike strconv it never allocates (no error
-// construction) and accepts nothing but ASCII digits — locale variants
-// ("1_000", "1,5", "1e3", "½") are malformed, full stop.
-func parseU64(b []byte) (uint64, bool) {
-	if len(b) == 0 || len(b) > 20 {
+// field returns the next field's bytes, or ok=false if the line has no
+// more fields.
+func (c *csvCursor) field() ([]byte, bool) {
+	if c.pos > len(c.line) {
+		return nil, false
+	}
+	rest := c.line[c.pos:]
+	i := bytes.IndexByte(rest, ',')
+	if i < 0 {
+		c.pos = len(c.line) + 1
+		return rest, true
+	}
+	c.pos += i + 1
+	return rest[:i], true
+}
+
+// u64 reads the next field as an unsigned decimal integer, rejecting an
+// empty field, non-digits and overflow.
+func (c *csvCursor) u64() (uint64, bool) {
+	line, start := c.line, c.pos
+	if start > len(line) {
 		return 0, false
 	}
+	v, i := digitRun(line, start)
+	if i < len(line) && line[i] != ',' {
+		return 0, false
+	}
+	c.pos = i + 1
+	return digitsValue(line[start:i], v)
+}
+
+// decimal reads the next field as a non-negative decimal that may carry a
+// fractional part ("1234", "1234.", "1234.56") and returns the whole part
+// (some trace exports carry fractions below the format's resolution). A
+// missing whole part (".5"), a second dot and exponents are rejected.
+func (c *csvCursor) decimal() (uint64, bool) {
+	line, start := c.line, c.pos
+	if start > len(line) {
+		return 0, false
+	}
+	v, end := digitRun(line, start)
+	i := end
+	if i < len(line) && line[i] == '.' {
+		_, i = digitRun(line, i+1)
+	}
+	if i < len(line) && line[i] != ',' {
+		return 0, false
+	}
+	c.pos = i + 1
+	return digitsValue(line[start:end], v)
+}
+
+// digitRun accumulates the run of ASCII digits starting at line[i] and
+// returns its value and the index just past it. The value is unchecked —
+// it wraps past 19 digits — so callers validate the run with digitsValue.
+func digitRun(line []byte, i int) (uint64, int) {
 	var v uint64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
+	for ; i < len(line); i++ {
+		d := line[i] - '0'
+		if d > 9 {
+			break
 		}
+		v = v*10 + uint64(d)
+	}
+	return v, i
+}
+
+// digitsValue validates the all-digit run digits whose value v was
+// accumulated unchecked. Up to 19 digits cannot overflow a uint64, so only
+// a 20-digit run is re-parsed with the overflow test.
+func digitsValue(digits []byte, v uint64) (uint64, bool) {
+	switch n := len(digits); {
+	case n == 0 || n > 20:
+		return 0, false
+	case n < 20:
+		return v, true
+	}
+	v = 0
+	for _, c := range digits {
 		d := uint64(c - '0')
 		if v > (1<<64-1-d)/10 {
 			return 0, false
@@ -137,43 +198,9 @@ func parseU64(b []byte) (uint64, bool) {
 	return v, true
 }
 
-// parseScaledU64 parses a non-negative decimal that may carry a fractional
-// part ("1234", "1234.56") and returns the value in 1/scale units,
-// truncated — e.g. scale=1000 turns milliseconds into microseconds
-// without a float round-trip. Exponents and locale separators are
-// rejected.
-func parseScaledU64(b []byte, scale uint64) (uint64, bool) {
-	dot := bytes.IndexByte(b, '.')
-	if dot < 0 {
-		v, ok := parseU64(b)
-		if !ok || v > (1<<64-1)/scale {
-			return 0, false
-		}
-		return v * scale, true
-	}
-	whole, ok := parseU64(b[:dot])
-	if !ok || whole > (1<<64-1)/scale {
-		return 0, false
-	}
-	frac := b[dot+1:]
-	if len(frac) == 0 {
-		return whole * scale, true
-	}
-	var fv, fs uint64 = 0, 1
-	for _, c := range frac {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		if fs < scale { // further digits are below the target resolution
-			fv = fv*10 + uint64(c-'0')
-			fs *= 10
-		}
-	}
-	return whole*scale + fv*(scale/fs), true
-}
-
-// interner deduplicates the VM/disk name strings a CSV parser mints, so a
-// million records over a dozen hostnames cost a dozen allocations. The
+// interner deduplicates the name strings a CSV parser mints (AlibabaSource's
+// device VMs), so a million records over a dozen devices cost a dozen
+// allocations. The
 // m[string(b)] lookup compiles to a no-alloc map probe. Past csvMaxInterned
 // distinct names it stops remembering (hostile-input bound) but still
 // returns correct strings.
@@ -183,20 +210,8 @@ type interner struct {
 
 func newInterner() *interner { return &interner{m: make(map[string]string)} }
 
-// get returns the canonical string for b, minting it on first sight.
-func (in *interner) get(b []byte) string {
-	if s, ok := in.m[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(in.m) < csvMaxInterned {
-		in.m[s] = s
-	}
-	return s
-}
-
-// getPrefixed is get for names derived as prefix+b (e.g. disk numbers
-// rendered as "disk3"), still keyed on the raw bytes.
+// getPrefixed returns the canonical string for prefix+b (e.g. device ids
+// rendered as "dev64"), keyed on the raw bytes and minted on first sight.
 func (in *interner) getPrefixed(prefix string, b []byte) string {
 	if s, ok := in.m[string(b)]; ok {
 		return s

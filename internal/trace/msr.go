@@ -25,14 +25,15 @@ import (
 //
 // Malformed lines (headers, truncated tails, locale-formatted numbers,
 // over-long hostile lines) are skipped and counted, never fatal: parsing
-// a multi-day trace should not abort at one mangled row.
+// a multi-day trace should not abort at one mangled row. Per-disk state is
+// bounded too: past csvMaxInterned distinct (Hostname, DiskNumber) pairs,
+// a line naming yet another disk is skipped and counted the same way, so a
+// hostile CSV with one new hostname per line costs bounded memory.
 type MSRSource struct {
-	sc     *lineScanner
-	fields [][]byte
-	vms    *interner
-	disks  *interner
-
-	inflight map[diskKey]*completionHeap
+	sc *lineScanner
+	// disks maps a line's raw "Hostname,DiskNumber" bytes to that disk's
+	// state, so a line costs one map probe.
+	disks map[string]*msrDisk
 
 	base     uint64 // first timestamp, filetime ticks
 	haveBase bool
@@ -40,14 +41,19 @@ type MSRSource struct {
 	bad      uint64
 }
 
+// msrDisk is MSRSource's state for one (Hostname, DiskNumber): the record
+// names, minted once, and the completion heap that reconstructs queue
+// depth.
+type msrDisk struct {
+	vm, disk string
+	inflight completionHeap
+}
+
 // NewMSRSource streams MSR Cambridge CSV from br.
 func NewMSRSource(br *bufio.Reader) *MSRSource {
 	return &MSRSource{
-		sc:       newLineScanner(br),
-		fields:   make([][]byte, 0, csvMaxFields),
-		vms:      newInterner(),
-		disks:    newInterner(),
-		inflight: make(map[diskKey]*completionHeap),
+		sc:    newLineScanner(br),
+		disks: make(map[string]*msrDisk),
 	}
 }
 
@@ -72,32 +78,43 @@ func (s *MSRSource) Next(rec *Record) error {
 }
 
 func (s *MSRSource) parseLine(line []byte, rec *Record) bool {
-	s.fields = splitComma(line, s.fields)
-	if len(s.fields) < 7 || len(s.fields[1]) == 0 {
+	c := csvCursor{line: line}
+	ts, ok := c.decimal()
+	if !ok {
 		return false
 	}
-	ts, ok := parseScaledU64(s.fields[0], 1) // some exports carry fractions
+	keyStart := c.pos
+	host, ok := c.field()
+	if !ok || len(host) == 0 {
+		return false
+	}
+	diskNum, ok := c.field()
+	if !ok {
+		return false
+	}
+	key := line[keyStart : keyStart+len(host)+1+len(diskNum)]
+	typ, ok := c.field()
 	if !ok {
 		return false
 	}
 	var op scsi.OpCode
 	switch {
-	case eqFoldBytes(s.fields[3], "Read"):
+	case eqFoldBytes(typ, "Read"):
 		op = scsi.OpRead16
-	case eqFoldBytes(s.fields[3], "Write"):
+	case eqFoldBytes(typ, "Write"):
 		op = scsi.OpWrite16
 	default:
 		return false
 	}
-	offset, ok := parseU64(s.fields[4])
+	offset, ok := c.u64()
 	if !ok {
 		return false
 	}
-	size, ok := parseU64(s.fields[5])
+	size, ok := c.u64()
 	if !ok {
 		return false
 	}
-	resp, ok := parseScaledU64(s.fields[6], 1)
+	resp, ok := c.decimal()
 	if !ok {
 		return false
 	}
@@ -107,33 +124,33 @@ func (s *MSRSource) parseLine(line []byte, rec *Record) bool {
 	if ts < s.base {
 		return false // pre-rebase straggler; cannot express a negative time
 	}
+	d := s.disks[string(key)]
+	if d == nil {
+		if len(s.disks) >= csvMaxInterned {
+			return false // hostile number of disks: bounded table
+		}
+		d = &msrDisk{vm: string(host), disk: "disk" + string(diskNum)}
+		s.disks[string(key)] = d
+	}
 
 	issue := int64((ts - s.base) / 10) // 100 ns ticks → µs
 	latency := int64(resp / 10)
-	vm := s.vms.get(s.fields[1])
-	disk := s.disks.getPrefixed("disk", s.fields[2])
 
 	// Sweep completions that precede this issue, then count what is left
 	// in flight on this disk.
-	key := diskKey{vm, disk}
-	h := s.inflight[key]
-	if h == nil {
-		h = &completionHeap{}
-		s.inflight[key] = h
-	}
-	h.sweep(issue)
-	outstanding := h.len()
+	d.inflight.sweep(issue)
+	outstanding := d.inflight.len()
 	if outstanding > 0xffff {
 		outstanding = 0xffff
 	}
-	h.push(issue + latency)
+	d.inflight.push(issue + latency)
 
 	rec.Seq = s.seq
 	s.seq++
 	rec.IssueMicros = issue
 	rec.CompleteMicros = issue + latency
-	rec.VM = vm
-	rec.Disk = disk
+	rec.VM = d.vm
+	rec.Disk = d.disk
 	rec.Op = op
 	rec.LBA = offset / 512
 	rec.Blocks = uint32((size + 511) / 512)

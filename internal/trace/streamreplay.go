@@ -20,13 +20,15 @@ import (
 // from any RecordSource in one pass with O(workers·batch + mergeWindow)
 // resident memory:
 //
-//   - ReplayParallel demultiplexes the stream into per-(VM, disk)
-//     substreams, fans them out across a worker pool (a disk sticks to one
-//     worker, so per-disk issue order — the only order the collector's
-//     stream-correlated metrics depend on — is preserved without locks),
-//     and drives each disk's own collector through the batched
-//     OnIssueBatch fast path. Per-VM and cluster views merge bin-exactly
-//     via core.Aggregate, exactly like the live registry rollups.
+//   - ReplayParallel parses ahead on a goroutine of its own (readAhead),
+//     demultiplexes the stream into per-(VM, disk) substreams, fans them
+//     out across a worker pool (a disk sticks to one worker, so per-disk
+//     issue order — the only order the collector's stream-correlated
+//     metrics depend on — is preserved without locks), and drives each
+//     disk's own collector through the batched OnIssueBatch and
+//     OnCompleteBatch fast paths. Per-VM and cluster views merge
+//     bin-exactly via core.Aggregate, exactly like the live registry
+//     rollups.
 //   - ReplayMerged reproduces the legacy single-collector semantics (all
 //     substreams interleaved into one command stream) by running the
 //     k-way MergeSource in front of one collector — O(n log k) in place
@@ -53,7 +55,8 @@ type ReplayConfig struct {
 	// BatchSize is the burst pushed per OnIssueBatch call (default 512).
 	BatchSize int
 	// QueueDepth is the number of batches buffered per worker (default 8).
-	// Resident replay memory is O(Workers · QueueDepth · BatchSize).
+	// Resident replay memory is O((Workers · QueueDepth + readAheadDepth)
+	// · BatchSize).
 	QueueDepth int
 	// Window is the collectors' windowed seek-distance look-behind
 	// (default core.DefaultWindow).
@@ -175,7 +178,7 @@ func newReqSlab(n int) *reqSlab {
 }
 
 // replay pushes recs through col as one burst: issues batched, then the
-// matching completions.
+// matching completions batched.
 func (s *reqSlab) replay(col *core.Collector, recs []Record) {
 	if len(recs) > len(s.reqs) {
 		*s = *newReqSlab(len(recs))
@@ -185,9 +188,7 @@ func (s *reqSlab) replay(col *core.Collector, recs []Record) {
 		fillRequest(s.ptrs[i], &recs[i])
 	}
 	col.OnIssueBatch(s.ptrs[:n])
-	for _, q := range s.ptrs[:n] {
-		col.OnComplete(q)
-	}
+	col.OnCompleteBatch(s.ptrs[:n])
 }
 
 // ReplayMerged feeds a trace through one collector with the legacy
@@ -242,6 +243,59 @@ func ReplayMerged(src RecordSource, col *core.Collector, cfg ReplayConfig) (Repl
 	}
 }
 
+// readAheadDepth is the number of record batches the read-ahead stage
+// cycles between the parsing goroutine and the demultiplexer: enough for
+// the parser to fill one batch while the demultiplexer drains another,
+// with slack for a burst of slow lines.
+const readAheadDepth = 4
+
+// aheadBatch is one batch of parsed records handed from the read-ahead
+// goroutine to the demultiplexer. err, if set, is the source error that
+// ended the stream right after recs (io.EOF at a clean end).
+type aheadBatch struct {
+	buf  []Record
+	recs []Record
+	err  error
+	free chan<- *aheadBatch
+}
+
+// release returns the batch to the read-ahead goroutine for refilling.
+func (b *aheadBatch) release() { b.free <- b }
+
+// readAhead drains src on a goroutine of its own into readAheadDepth
+// recycled batches of n records, so parsing overlaps demultiplexing and
+// observing. Batches arrive in source order; the last one carries the
+// source's terminal error, and the channel closes after it. The consumer
+// must release every batch it receives and must drain the channel.
+func readAhead(src RecordSource, n int) <-chan *aheadBatch {
+	// Both channels hold every batch there is, so no send ever blocks on
+	// a full buffer: the parser waits only for a free batch, the consumer
+	// only for a full one.
+	full := make(chan *aheadBatch, readAheadDepth)
+	free := make(chan *aheadBatch, readAheadDepth)
+	for i := 0; i < readAheadDepth; i++ {
+		free <- &aheadBatch{buf: make([]Record, n), free: free}
+	}
+	go func() {
+		defer close(full)
+		for {
+			b := <-free
+			k := 0
+			for ; k < len(b.buf); k++ {
+				if b.err = src.Next(&b.buf[k]); b.err != nil {
+					break
+				}
+			}
+			b.recs = b.buf[:k]
+			full <- b
+			if b.err != nil {
+				return
+			}
+		}
+	}()
+	return full
+}
+
 // replayBatch is one burst in flight from the demultiplexer to a worker.
 type replayBatch struct {
 	col  *core.Collector
@@ -262,7 +316,10 @@ type parallelDisk struct {
 // would have built had it watched the same commands live. Substreams are
 // independent (a collector's stream-correlated state never crosses
 // disks), so fan-out changes nothing but wall-clock time: any Workers
-// value yields bit-identical collectors.
+// value yields bit-identical collectors. The source is drained on a
+// read-ahead goroutine, so src.Next runs concurrently with the caller but
+// never with itself. If src fails mid-stream, the result covers exactly
+// the records before the failure and the error is returned with it.
 func ReplayParallel(src RecordSource, cfg ReplayConfig) (*ReplayResult, error) {
 	cfg = cfg.withDefaults()
 	var merge *MergeSource
@@ -301,46 +358,46 @@ func ReplayParallel(src RecordSource, cfg ReplayConfig) (*ReplayResult, error) {
 		chans[d.worker] <- d.batch
 		d.batch = nil
 	}
-	var rec Record
 	var srcErr error
-	for {
-		if err := src.Next(&rec); err != nil {
-			if err != io.EOF {
-				srcErr = err
+	for ahead := range readAhead(src, cfg.BatchSize) {
+		for i := range ahead.recs {
+			rec := &ahead.recs[i]
+			key := diskKey{rec.VM, rec.Disk}
+			d := disks[key]
+			if d == nil {
+				col := core.NewCollectorWindow(rec.VM, rec.Disk, cfg.Window)
+				col.Enable()
+				if cfg.Registry != nil {
+					cfg.Registry.Register(col)
+				}
+				d = &parallelDisk{col: col, worker: len(res.cols) % cfg.Workers}
+				disks[key] = d
+				res.cols = append(res.cols, col)
 			}
-			break
-		}
-		key := diskKey{rec.VM, rec.Disk}
-		d := disks[key]
-		if d == nil {
-			col := core.NewCollectorWindow(rec.VM, rec.Disk, cfg.Window)
-			col.Enable()
-			if cfg.Registry != nil {
-				cfg.Registry.Register(col)
+			if d.haveLast && rec.IssueMicros < d.lastIssue {
+				res.Stats.OrderViolations++
+			} else {
+				d.lastIssue = rec.IssueMicros
+				d.haveLast = true
 			}
-			d = &parallelDisk{col: col, worker: len(res.cols) % cfg.Workers}
-			disks[key] = d
-			res.cols = append(res.cols, col)
+			if d.batch == nil {
+				b := pool.Get().(*replayBatch)
+				b.col = d.col
+				d.batch = b
+			}
+			d.batch.recs = append(d.batch.recs, *rec)
+			if len(d.batch.recs) == cfg.BatchSize {
+				dispatch(d)
+			}
+			res.Stats.Records++
+			if cfg.Progress != nil && res.Stats.Records%cfg.ProgressEvery == 0 {
+				cfg.Progress(res.Stats.Records)
+			}
 		}
-		if d.haveLast && rec.IssueMicros < d.lastIssue {
-			res.Stats.OrderViolations++
-		} else {
-			d.lastIssue = rec.IssueMicros
-			d.haveLast = true
+		if ahead.err != nil && ahead.err != io.EOF {
+			srcErr = ahead.err
 		}
-		if d.batch == nil {
-			b := pool.Get().(*replayBatch)
-			b.col = d.col
-			d.batch = b
-		}
-		d.batch.recs = append(d.batch.recs, rec)
-		if len(d.batch.recs) == cfg.BatchSize {
-			dispatch(d)
-		}
-		res.Stats.Records++
-		if cfg.Progress != nil && res.Stats.Records%cfg.ProgressEvery == 0 {
-			cfg.Progress(res.Stats.Records)
-		}
+		ahead.release()
 	}
 	for _, d := range disks {
 		if d.batch != nil && len(d.batch.recs) > 0 {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -245,6 +246,44 @@ func TestReplayPartialOnSourceError(t *testing.T) {
 	col := core.NewCollector("*", "*")
 	if _, err := ReplayMerged(NewSliceSource(nil), col, ReplayConfig{}); err != nil {
 		t.Fatalf("empty source: %v", err)
+	}
+}
+
+// failingSource yields the first n records of recs, then fails.
+type failingSource struct {
+	recs []Record
+	n    int
+}
+
+var errSourceBroke = errors.New("source broke")
+
+func (s *failingSource) Next(rec *Record) error {
+	if s.n == 0 {
+		return errSourceBroke
+	}
+	*rec, s.recs = s.recs[0], s.recs[1:]
+	s.n--
+	return nil
+}
+
+// The read-ahead stage keeps the error contract exact: a source failing
+// after k records (k off any batch boundary) yields stats and histograms
+// for exactly those k records, with the cause wrapped in the error.
+func TestReplayParallelErrorReturnsExactPrefix(t *testing.T) {
+	recs := Synthesize(9, 5000)
+	for _, k := range []int{0, 1, 511, 512, 513, 3 * 512, 4321} {
+		res, err := ReplayParallel(&failingSource{recs: recs, n: k}, ReplayConfig{Workers: 3})
+		if !errors.Is(err, errSourceBroke) {
+			t.Fatalf("k=%d: err = %v, want the source's error", k, err)
+		}
+		if res.Stats.Records != uint64(k) {
+			t.Fatalf("k=%d: Records = %d", k, res.Stats.Records)
+		}
+		want, err := ReplayParallel(NewSliceSource(recs[:k]), ReplayConfig{Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameSnapshot(t, "prefix", want.Merged(), res.Merged())
 	}
 }
 
